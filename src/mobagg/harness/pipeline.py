@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -275,14 +275,4 @@ def run_pipeline(
         )
     aggregates, reports = collect_aggregate_series(targets, config.sim, rng)
     result = analyze_aggregates(aggregates, config, out_dir)
-    return PipelineResult(
-        aggregates=result.aggregates,
-        round_reports=reports,
-        stationary=result.stationary,
-        forecasts=result.forecasts,
-        scans=result.scans,
-        anomalies=result.anomalies,
-        enhancement=result.enhancement,
-        helper_ids=result.helper_ids,
-        paths=result.paths,
-    )
+    return replace(result, round_reports=reports)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -25,14 +25,22 @@ class KeyError_(ValueError):
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A user's DH keypair; both halves are raw 32-byte encodings."""
+    """A user's DH keypair; both halves are raw 32-byte encodings.
+
+    Built from the private half alone: the key is parsed once, here, the
+    public half is derived from it, and every exchange reuses the parsed key.
+    """
 
     private_bytes: bytes
-    public_bytes: bytes
+    public_bytes: bytes = field(init=False)
+    _private_key: X25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.private_bytes) != KEY_BYTES or len(self.public_bytes) != KEY_BYTES:
-            raise KeyError_("keys must be 32-byte raw encodings")
+        if len(self.private_bytes) != KEY_BYTES:
+            raise KeyError_("private key must be a 32-byte raw encoding")
+        sk = X25519PrivateKey.from_private_bytes(self.private_bytes)
+        object.__setattr__(self, "_private_key", sk)
+        object.__setattr__(self, "public_bytes", sk.public_key().public_bytes_raw())
 
 
 def keygen(rng: random.Random | int | None = None) -> KeyPair:
@@ -46,31 +54,11 @@ def keygen(rng: random.Random | int | None = None) -> KeyPair:
         if isinstance(rng, int):
             rng = random.Random(rng)
         priv = rng.randbytes(KEY_BYTES)
-    sk = X25519PrivateKey.from_private_bytes(priv)
-    return KeyPair(
-        private_bytes=priv,
-        public_bytes=sk.public_key().public_bytes_raw(),
-    )
-
-
-# X25519 exchanges dominate setup cost in large simulated cohorts; memoize
-# them process-wide. The exchange is a pure function of both keys.
-_EXCHANGE_CACHE: dict[tuple[bytes, bytes], bytes] = {}
-_EXCHANGE_CACHE_MAX = 16384
+    return KeyPair(priv)
 
 
 def shared_point(own: KeyPair, peer_public: bytes) -> bytes:
     """Canonical encoding of the DH shared point with ``peer_public``."""
     if len(peer_public) != KEY_BYTES:
         raise KeyError_("peer public key must be 32 bytes")
-    cache_key = (own.private_bytes, peer_public)
-    hit = _EXCHANGE_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    point = X25519PrivateKey.from_private_bytes(own.private_bytes).exchange(
-        X25519PublicKey.from_public_bytes(peer_public)
-    )
-    if len(_EXCHANGE_CACHE) >= _EXCHANGE_CACHE_MAX:
-        _EXCHANGE_CACHE.pop(next(iter(_EXCHANGE_CACHE)))
-    _EXCHANGE_CACHE[cache_key] = point
-    return point
+    return own._private_key.exchange(X25519PublicKey.from_public_bytes(peer_public))

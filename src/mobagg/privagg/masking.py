@@ -1,8 +1,10 @@
 """Pairwise additive masking over 32-bit counter vectors.
 
-Every ordered pair of group members shares a DH point; hashing that point
-with the entry index and the round id yields a 32-bit mask word. Each member
-adds the mask stream toward higher-positioned members and subtracts it toward
+Every pair of group members shares a DH point; one SHAKE-256 call over
+that point and the round id expands it into the pair's stream of 32-bit mask
+words (the PRG expansion of Bonawitz et al., "Practical Secure Aggregation
+for Privacy-Preserving Machine Learning", CCS 2017). Each member adds the
+mask stream toward higher-positioned members and subtracts it toward
 lower-positioned ones, so the streams cancel exactly in the group sum:
 
     sum_i k_i  =  0            (mod 2**32)
@@ -15,12 +17,19 @@ aggregator subtracts those to restore exact cancellation over the survivors.
 All vector arithmetic is unsigned 32-bit with wraparound; masks and
 ciphertexts are uniform-looking words, and a single ciphertext reveals
 nothing about its plaintext without the matching mask stream.
+
+Threat model: the aggregator is honest but curious. It follows the protocol
+and, in particular, reports the true online set when it asks for recovery
+shares; under that assumption it learns the sum over the online members and
+nothing else. An aggregator that declares a member offline after receiving
+its ciphertext collects that member's whole mask from the others' recovery
+shares and so learns its plaintext. Closing that gap needs double masking
+(Bonawitz et al. 2017), which this module does not implement.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence, Tuple
 
@@ -29,7 +38,6 @@ import numpy as np
 from .keys import KeyPair, shared_point
 
 MASK_MODULUS = 1 << 32
-_ENTRY_PACK = struct.Struct(">QQ")  # (entry index, round id), both 8-byte BE
 
 
 class ProtocolError(ValueError):
@@ -86,47 +94,19 @@ class AggregateResult:
 
 # --- mask stream derivation ---
 
-# Streams are pure functions of (shared point, round id, length); the cache
-# lets a simulated member and its peer (and any recovery pass) reuse one
-# derivation without changing what either side would compute alone.
-_STREAM_CACHE: dict[tuple[bytes, int, int], np.ndarray] = {}
-_STREAM_CACHE_MAX = 4096
-
-
 def mask_stream(point: bytes, round_id: int, length: int) -> np.ndarray:
     """The 32-bit mask words one DH pair derives for a round.
 
-    Word l is the low 32 bits of SHA-256(point || l || round_id) with both
-    integers encoded as 8-byte big-endian. The returned array is read-only.
+    The stream is the first 4 * length bytes of SHAKE-256(point || round_id),
+    with round_id encoded as 8-byte big-endian, read as little-endian 32-bit
+    words. The returned array is read-only.
     """
     if not (0 <= round_id < 1 << 64):
         raise ProtocolError(f"round_id {round_id} outside [0, 2**64)")
     if length < 1:
         raise ProtocolError("stream length must be >= 1")
-    key = (point, round_id, length)
-    hit = _STREAM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    base = hashlib.sha256(point)
-    copy = base.copy
-    pack = _ENTRY_PACK.pack
-    digests = []
-    append = digests.append
-    for l in range(length):
-        h = copy()
-        h.update(pack(l, round_id))
-        append(h.digest())
-    # Low 32 bits of each 256-bit digest = the last big-endian word.
-    words = (
-        np.frombuffer(b"".join(digests), dtype=">u4")
-        .reshape(-1, 8)[:, 7]
-        .astype(np.uint32)
-    )
-    words.flags.writeable = False
-    if len(_STREAM_CACHE) >= _STREAM_CACHE_MAX:
-        _STREAM_CACHE.pop(next(iter(_STREAM_CACHE)))
-    _STREAM_CACHE[key] = words
-    return words
+    seed = point + round_id.to_bytes(8, "big")
+    return np.frombuffer(hashlib.shake_256(seed).digest(4 * length), dtype="<u4")
 
 
 def _signed_stream_sum(

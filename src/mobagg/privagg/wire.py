@@ -41,12 +41,29 @@ def unframe(blob: bytes) -> tuple[dict, bytes]:
     head_end = _LEN.size + head_len
     if len(blob) < head_end + _LEN.size:
         raise ProtocolError("truncated frame header")
-    header = json.loads(blob[_LEN.size : head_end].decode())
+    try:
+        header = json.loads(blob[_LEN.size : head_end].decode())
+    except (ValueError, RecursionError):  # bad UTF-8, bad JSON, too deep
+        raise ProtocolError("frame header is not JSON") from None
+    if not isinstance(header, dict):
+        raise ProtocolError("frame header is not a JSON object")
     (body_len,) = _LEN.unpack_from(blob, head_end)
     body_end = head_end + _LEN.size + body_len
     if len(blob) != body_end:
         raise ProtocolError("frame length mismatch")
     return header, blob[head_end + _LEN.size :]
+
+
+def _int(value: object, name: str) -> int:
+    if type(value) is not int:  # also rejects missing fields, bools and floats
+        raise ProtocolError(f"{name} must be an integer")
+    return value
+
+
+def _ints(value: object, name: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ProtocolError(f"{name} must be a list of integers")
+    return [_int(v, name) for v in value]
 
 
 def vector_payload_bytes(vector_length: int) -> int:
@@ -75,16 +92,24 @@ def decode_announcement(blob: bytes) -> GroupView:
     header, body = unframe(blob)
     if header.get("type") != "round" or body:
         raise ProtocolError("not a round announcement")
+    hex_keys = header.get("public_keys")
+    if not isinstance(hex_keys, dict):
+        raise ProtocolError("public_keys must be an object")
+    try:
+        public_keys = {int(uid): bytes.fromhex(hexkey) for uid, hexkey in hex_keys.items()}
+    except (TypeError, ValueError):
+        raise ProtocolError("public_keys must map user ids to hex keys") from None
     seeds = header.get("sketch_seeds")
+    if seeds is not None:
+        if not isinstance(seeds, list) or not all(isinstance(p, list) and len(p) == 2 for p in seeds):
+            raise ProtocolError("sketch_seeds must be a list of integer pairs")
+        seeds = tuple((_int(a, "sketch_seeds"), _int(b, "sketch_seeds")) for a, b in seeds)
     return GroupView(
-        round_id=int(header["round_id"]),
-        member_ids=tuple(int(u) for u in header["members"]),
-        public_keys={
-            int(uid): bytes.fromhex(hexkey)
-            for uid, hexkey in header["public_keys"].items()
-        },
-        vector_length=int(header["vector_length"]),
-        sketch_seeds=None if seeds is None else tuple((int(a), int(b)) for a, b in seeds),
+        round_id=_int(header.get("round_id"), "round_id"),
+        member_ids=tuple(_ints(header.get("members"), "members")),
+        public_keys=public_keys,
+        vector_length=_int(header.get("vector_length"), "vector_length"),
+        sketch_seeds=seeds,
     )
 
 
@@ -106,8 +131,8 @@ def decode_vector_message(blob: bytes) -> VectorMessage:
     if len(body) % 4:
         raise ProtocolError("vector body is not whole 32-bit words")
     return VectorMessage(
-        user_id=int(header["user_id"]),
-        round_id=int(header["round_id"]),
+        user_id=_int(header.get("user_id"), "user_id"),
+        round_id=_int(header.get("round_id"), "round_id"),
         entries=np.frombuffer(body, dtype="<u4").astype(np.uint32),
         kind=kind,
     )
@@ -123,4 +148,4 @@ def decode_recovery_request(blob: bytes) -> tuple[int, list[int]]:
     header, body = unframe(blob)
     if header.get("type") != "recovery_request" or body:
         raise ProtocolError("not a recovery request")
-    return int(header["round_id"]), [int(u) for u in header["online"]]
+    return _int(header.get("round_id"), "round_id"), _ints(header.get("online"), "online")

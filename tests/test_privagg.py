@@ -52,6 +52,13 @@ class TestKeygen:
     def test_fresh_entropy_without_seed(self):
         assert keygen().public_bytes != keygen().public_bytes
 
+    def test_seeded_pairs_compare_equal(self):
+        assert keygen(42) == keygen(42)
+
+    def test_shared_point_known_answer(self):
+        expected = "fc7464537c1f439a76e6bcea446208708979e02e4ef8edda569a41f1a962cb45"
+        assert shared_point(keygen(1), keygen(2).public_bytes).hex() == expected
+
 
 class TestBlindingFactors:
     def test_singleton_group_zero_factors(self):
@@ -104,6 +111,14 @@ class TestBlindingFactors:
         for uid in group.member_ids:
             total += blinding_factors(keys[uid], uid, group)
         assert not total.any()
+
+    def test_mask_stream_known_answer(self):
+        # SHAKE-256(point || round id as 8-byte BE), read as little-endian words
+        stream = mask_stream(bytes(range(32)), 7, 3264)
+        assert stream.dtype == np.uint32 and stream.shape == (3264,)
+        assert not stream.flags.writeable
+        assert int(stream[0]) == 0x94CC26FB
+        assert int(stream[-1]) == 0xA0B60AC8
 
     def test_round_separation(self):
         # same pair, consecutive rounds: not a single mask word survives
@@ -240,6 +255,19 @@ class TestRecovery:
         _, group = make_group(3)
         with pytest.raises(ProtocolError):
             recover_aggregate({}, {}, group)
+
+    def test_false_offline_claim_reveals_plaintext(self):
+        # The protocol trusts the aggregator's online list (honest-but-curious
+        # model). Declaring a submitter offline makes the others' recovery
+        # shares sum to minus its whole mask, exposing its vector.
+        keys, group = make_group(4, length=32, seed=41)
+        secret = np.random.default_rng(41).integers(0, 1 << 32, size=32, dtype=np.uint64)
+        ct = encrypt(secret.astype(np.int64), blinding_factors(keys[2], 2, group))
+        online = [0, 1, 3]
+        leaked = ct.copy()
+        for u in online:
+            leaked += recovery_share(keys[u], u, group, online)
+        assert np.array_equal(leaked, secret.astype(np.uint32))
 
 
 class TestUniformitySmoke:

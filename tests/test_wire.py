@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobagg.privagg import (
     GroupView,
@@ -135,3 +137,98 @@ class TestRecoveryRequest:
         blob = encode_vector_message(VectorMessage(1, 0, np.zeros(1, dtype=np.uint32)))
         with pytest.raises(ProtocolError):
             decode_recovery_request(blob)
+
+
+def _sample_frames():
+    rng = random.Random(7)
+    keys = {u: keygen(rng) for u in range(3)}
+    group = GroupView(
+        round_id=5,
+        member_ids=(0, 1, 2),
+        public_keys={u: k.public_bytes for u, k in keys.items()},
+        vector_length=4,
+        sketch_seeds=((1, 2), (3, 4)),
+    )
+    return [
+        encode_announcement(group),
+        encode_vector_message(VectorMessage(1, 5, np.arange(4, dtype=np.uint32))),
+        encode_recovery_request(5, [0, 2]),
+    ]
+
+
+_DECODERS = (unframe, decode_announcement, decode_vector_message, decode_recovery_request)
+
+
+def _raw_frame(head: bytes) -> bytes:
+    return struct.pack("<I", len(head)) + head + struct.pack("<I", 0)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+_headers = st.fixed_dictionaries(
+    {"type": st.sampled_from(["round", "ciphertext", "recovery_share", "recovery_request"])},
+    optional={name: _json for name in (
+        "round_id", "user_id", "members", "public_keys", "vector_length", "sketch_seeds", "online",
+    )},
+)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("head", [
+        pytest.param(b"\xff\xfe", id="not-utf8"),
+        pytest.param(b"{not json", id="not-json"),
+        pytest.param(b"[1, 2]", id="json-list"),
+        pytest.param(b"[" * 100_000, id="too-deep"),
+    ])
+    def test_bad_header_rejected(self, head):
+        blob = _raw_frame(head)
+        for decode in _DECODERS:
+            with pytest.raises(ProtocolError):
+                decode(blob)
+
+    def test_huge_header_length_rejected(self):
+        with pytest.raises(ProtocolError):
+            unframe(struct.pack("<I", 2**32 - 1) + b"{}" + struct.pack("<I", 0))
+
+    @pytest.mark.parametrize("header, decode", [
+        ({"type": "ciphertext", "round_id": 0}, decode_vector_message),
+        ({"type": "ciphertext", "user_id": "1", "round_id": 0}, decode_vector_message),
+        ({"type": "ciphertext", "user_id": 1, "round_id": 1.5}, decode_vector_message),
+        ({"type": "recovery_request", "round_id": "x", "online": []}, decode_recovery_request),
+        ({"type": "recovery_request", "round_id": 0, "online": ["a"]}, decode_recovery_request),
+        ({"type": "recovery_request", "round_id": 0, "online": 3}, decode_recovery_request),
+        ({"type": "recovery_request", "round_id": 0}, decode_recovery_request),
+        ({"type": "round", "members": [0], "public_keys": {"0": "00"},
+          "vector_length": 1}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"x": "00"},
+          "vector_length": 1}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "zz"},
+          "vector_length": 1}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "public_keys": [],
+          "vector_length": 1}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "00"},
+          "vector_length": True}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "00"},
+          "vector_length": 1, "sketch_seeds": [[1]]}, decode_announcement),
+    ])
+    def test_missing_or_mistyped_fields_rejected(self, header, decode):
+        with pytest.raises(ProtocolError):
+            decode(frame(header))
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(
+        st.binary(max_size=256),
+        st.binary(max_size=64).map(_raw_frame),
+        st.tuples(st.sampled_from(_sample_frames()), st.integers(0, 2000)).map(
+            lambda fc: fc[0][: fc[1]]),
+        _headers.map(frame),
+    ))
+    def test_arbitrary_bytes_decode_or_raise_protocol_error(self, blob):
+        for decode in _DECODERS:
+            try:
+                decode(blob)
+            except ProtocolError:
+                pass
