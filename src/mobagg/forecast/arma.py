@@ -8,6 +8,12 @@ conditioned on the first p observations with pre-sample innovations fixed at
 zero. Pure AR fits (q = 0) reduce to ordinary least squares on lagged values;
 mixed models start from that AR solution and refine all coefficients with a
 derivative-free simplex search on the innovation sum of squares.
+
+The search is confined to stationary, invertible coefficients. A candidate is
+feasible when every reflection coefficient (partial autocorrelation) of the
+AR polynomial, and of the negated MA one, lies strictly inside (-1, 1); the
+step-down recursion yields them without root finding, and the criterion is
+equivalent to all lag-polynomial roots lying outside the unit circle.
 """
 
 from __future__ import annotations
@@ -64,13 +70,13 @@ def _validate_series(y: np.ndarray, p: int, q: int) -> None:
         )
 
 
-def css_innovations(
+def _innovations_tail(
     y: np.ndarray,
     const: float,
     ar: np.ndarray,
     ma: np.ndarray,
 ) -> np.ndarray:
-    """Innovations for given coefficients; first len(ar) entries are zero."""
+    """Innovations eps_p .. eps_{n-1} for given coefficients."""
     p, q = ar.size, ma.size
     n = y.size
     r = y[p:] - const
@@ -80,28 +86,50 @@ def css_innovations(
         # eps_t = r_t - sum_j theta_j eps_{t-j} is an IIR filter with zero
         # initial state, which is exactly the pre-sample-zero convention.
         r = lfilter([1.0], np.concatenate(([1.0], ma)), r)
-    eps = np.zeros(n)
-    eps[p:] = r
+    return r
+
+
+def css_innovations(
+    y: np.ndarray,
+    const: float,
+    ar: np.ndarray,
+    ma: np.ndarray,
+) -> np.ndarray:
+    """Innovations for given coefficients; first len(ar) entries are zero."""
+    eps = np.zeros(y.size)
+    eps[ar.size :] = _innovations_tail(y, const, ar, ma)
     return eps
+
+
+def _reflections_inside(phi: list[float]) -> bool:
+    """True when 1 - phi_1 z - ... - phi_k z^k has every root outside |z| = 1.
+
+    Runs the Durbin-Levinson recursion backwards (the step-down recursion):
+    at order k the reflection coefficient is a = phi_k, and the order-(k-1)
+    coefficients are (phi_j + a * phi_{k-j}) / (1 - a^2). The roots lie
+    outside the unit circle exactly when every reflection coefficient lies in
+    (-1, 1) (Barndorff-Nielsen & Schou 1973; Monahan 1984). A NaN fails.
+    """
+    while phi:
+        a = phi[-1]
+        if not abs(a) < 1.0:
+            return False
+        scale = 1.0 - a * a
+        phi = [(phi[j] + a * phi[-2 - j]) / scale for j in range(len(phi) - 1)]
+    return True
 
 
 def _in_identifiable_region(ar: np.ndarray, ma: np.ndarray) -> bool:
     """True when the AR polynomial is stationary and the MA one invertible.
 
     Both conditions require the lag-polynomial roots to lie strictly outside
-    the unit circle. Without this restriction the simplex search can settle
-    on coefficient vectors whose in-sample innovations look small but whose
-    forecasts explode.
+    the unit circle, which is tested without root finding: every reflection
+    coefficient of ``ar``, and of ``-ma``, must lie strictly inside (-1, 1).
+    Without this restriction the simplex search can settle on coefficient
+    vectors whose in-sample innovations look small but whose forecasts
+    explode.
     """
-    for lowest_first in (
-        np.concatenate(([1.0], -ar)),
-        np.concatenate(([1.0], ma)),
-    ):
-        if lowest_first.size > 1:
-            roots = np.roots(lowest_first[::-1])
-            if roots.size and np.abs(roots).min() <= 1.0:
-                return False
-    return True
+    return _reflections_inside(ar.tolist()) and _reflections_inside((-ma).tolist())
 
 
 def _ols_ar(y: np.ndarray, p: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -162,8 +190,8 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
         ar, ma = params[1 : 1 + p], params[1 + p :]
         if not _in_identifiable_region(ar, ma):
             return 1e300
-        eps = css_innovations(y, params[0], ar, ma)
-        sse = float(eps[p:] @ eps[p:])
+        r = _innovations_tail(y, params[0], ar, ma)
+        sse = float(r @ r)
         return sse if math.isfinite(sse) else 1e300
 
     result = minimize(

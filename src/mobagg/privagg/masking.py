@@ -35,9 +35,13 @@ from typing import Collection, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .keys import KeyPair, shared_point
+from .keys import KEY_BYTES, KeyPair, shared_point
 
 MASK_MODULUS = 1 << 32
+# Longest vector a round may announce: 2**24 words (64 MiB per vector), which
+# admits the 582**2 = 338,724-word station OD vectors and stops one hostile
+# announcement from making every member expand a multi-gigabyte mask stream.
+MAX_VECTOR_LENGTH = 1 << 24
 
 
 class ProtocolError(ValueError):
@@ -62,8 +66,10 @@ class GroupView:
     def __post_init__(self) -> None:
         if not (0 <= self.round_id < 1 << 64):
             raise ProtocolError(f"round_id {self.round_id} outside [0, 2**64)")
-        if self.vector_length < 1:
-            raise ProtocolError("vector_length must be >= 1")
+        if not (1 <= self.vector_length <= MAX_VECTOR_LENGTH):
+            raise ProtocolError(
+                f"vector_length {self.vector_length} outside [1, {MAX_VECTOR_LENGTH}]"
+            )
         ids = self.member_ids
         if not ids:
             raise ProtocolError("a group needs at least 1 member")
@@ -72,6 +78,9 @@ class GroupView:
         for uid in ids:
             if uid not in self.public_keys:
                 raise ProtocolError(f"missing public key for member {uid}")
+        for uid, key in self.public_keys.items():
+            if len(key) != KEY_BYTES:
+                raise ProtocolError(f"public key of user {uid} is not {KEY_BYTES} bytes")
 
     def position_of(self, user_id: int) -> int:
         try:

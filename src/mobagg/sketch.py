@@ -18,14 +18,43 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-# Modulus for the pairwise-independent row hashes. 2**61 - 1 is prime and
-# leaves headroom for a*key + b without overflowing Python ints cheaply.
+# Modulus for the pairwise-independent row hashes. 2**61 - 1 is a Mersenne
+# prime, so a*key + b reduces with shifts and masks in uint64 arithmetic.
 HASH_PRIME = (1 << 61) - 1
+_P = np.uint64(HASH_PRIME)
+_LOW29 = np.uint64((1 << 29) - 1)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 _HEADER = struct.Struct("<4sIIQddQ")
 _MAGIC = b"CMSK"
 
 Seed = Tuple[int, int]
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """x mod (2**61 - 1) up to one extra p: (x & p) + (x >> 61), as 2**61 = 1 mod p."""
+    return (x & _P) + (x >> np.uint64(61))
+
+
+def _row_hash(a: int, b: int, k_hi: np.ndarray, k_lo: np.ndarray) -> np.ndarray:
+    """(a*k + b) mod (2**61 - 1), exactly, for k = k_hi*2**32 + k_lo < 2**63.
+
+    Splits a and k into 32-bit halves (Cormode & Muthukrishnan 2005) so that
+    every partial product fits in uint64, then folds with 2**61 = 1 (mod p):
+    2**64 = 8, and mid*2**32 = (mid >> 29)*2**61 + (mid mod 2**29)*2**32.
+    The five terms sum to below 2**64.
+    """
+    a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & 0xFFFFFFFF)
+    mid = a_hi * k_lo + a_lo * k_hi
+    total = (
+        _fold(a_lo * k_lo)
+        + (mid >> np.uint64(29))
+        + ((mid & _LOW29) << np.uint64(32))
+        + ((a_hi * k_hi) << np.uint64(3))
+        + np.uint64(b)
+    )
+    total = _fold(total)
+    return np.where(total >= _P, total - _P, total)
 
 
 class SketchParamsError(ValueError):
@@ -132,6 +161,22 @@ class CountMinSketch:
         w = self.params.width
         return tuple((a * key + b) % HASH_PRIME % w for a, b in self.seeds)
 
+    def column_table(self, keys: np.ndarray) -> np.ndarray:
+        """Columns of many keys at once, shape (depth, len(keys)).
+
+        Row r of the result holds ``columns(key)[r]`` for every key.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        outside = (keys < 0) | (keys >= self.params.input_size)
+        if outside.any():
+            self._check_key(int(keys[outside][0]))
+        k = keys.astype(np.uint64)
+        k_hi, k_lo = k >> np.uint64(32), k & _LOW32
+        table = np.empty((self.params.depth, k.size), dtype=np.intp)
+        for row, (a, b) in enumerate(self.seeds):
+            table[row] = _row_hash(a, b, k_hi, k_lo) % np.uint64(self.params.width)
+        return table
+
     def _check_key(self, key: int) -> None:
         if not (0 <= key < self.params.input_size):
             raise SketchParamsError(
@@ -227,20 +272,26 @@ def encode_vector(
     params: SketchParams,
     seeds: Sequence[Seed],
 ) -> CountMinSketch:
-    """Sketch a dense count vector; index i is updated by values[i]."""
+    """Sketch a dense count vector; index i is updated by values[i].
+
+    Equal to ``update(i, values[i])`` for every nonzero i: amounts are taken
+    mod 2**32 and counters wrap.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size != params.input_size:
         raise SketchParamsError(
             f"vector length {arr.size} != input_size {params.input_size}"
         )
     sk = CountMinSketch(params, seeds)
-    for key in np.nonzero(arr)[0]:
-        sk.update(int(key), int(arr[key]))
+    keys = np.flatnonzero(arr)
+    amounts = (arr[keys].astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)
+    rows = np.arange(params.depth)[:, None]
+    np.add.at(sk.counters, (rows, sk.column_table(keys)), amounts)
     return sk
 
 
 def estimate_vector(sketch: CountMinSketch, keys: Iterable[int] | None = None) -> np.ndarray:
     """Estimates for every key (or the given ones), as int64."""
-    if keys is None:
-        keys = range(sketch.params.input_size)
-    return np.array([sketch.estimate(k) for k in keys], dtype=np.int64)
+    keys = np.arange(sketch.params.input_size) if keys is None else np.fromiter(keys, np.int64)
+    rows = np.arange(sketch.params.depth)[:, None]
+    return sketch.counters[rows, sketch.column_table(keys)].min(axis=0).astype(np.int64)

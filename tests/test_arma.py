@@ -33,6 +33,55 @@ class TestInnovations:
         assert eps[0] == 0.0 and eps[1] == 0.0
 
 
+def roots_outside_unit_circle(lowest_first):
+    """Reference: every root of the lag polynomial lies strictly outside |z| = 1."""
+    roots = np.roots(np.asarray(lowest_first, dtype=float)[::-1])
+    return not (roots.size and np.abs(roots).min() <= 1.0)
+
+
+def reference_region(ar, ma):
+    return (roots_outside_unit_circle(np.concatenate(([1.0], -ar)))
+            and roots_outside_unit_circle(np.concatenate(([1.0], ma))))
+
+
+def lag_coefficients(roots):
+    """c_1..c_k of prod_i (1 - z / r_i), for roots closed under conjugation."""
+    return np.poly(1.0 / np.asarray(roots)).real[1:]
+
+
+class TestIdentifiableRegion:
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_random_vectors_match_roots(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(2000):
+            coef = rng.uniform(-2.0, 2.0, order) * rng.uniform(0.0, 1.0)
+            empty = np.empty(0)
+            assert arma_mod._in_identifiable_region(coef, empty) == reference_region(coef, empty)
+            assert arma_mod._in_identifiable_region(empty, coef) == reference_region(empty, coef)
+
+    @pytest.mark.parametrize("radius, inside", [(1.0 + 1e-3, True), (1.0 - 1e-3, False)])
+    def test_root_next_to_unit_circle(self, radius, inside):
+        rng = np.random.default_rng(17)
+        for order in range(1, 6):
+            for _ in range(50):
+                angle = rng.uniform(0.0, math.pi)
+                near = [radius] if order % 2 else [radius * np.exp(1j * angle),
+                                                   radius * np.exp(-1j * angle)]
+                far = list(rng.uniform(1.5, 4.0, order - len(near)) * rng.choice([-1, 1]))
+                c = lag_coefficients(near + far)
+                assert reference_region(-c, np.empty(0)) is inside
+                assert arma_mod._in_identifiable_region(-c, np.empty(0)) is inside
+                assert arma_mod._in_identifiable_region(np.empty(0), c) is inside
+
+    @pytest.mark.parametrize("ar, ma, inside", [
+        ([1.0], [], False),
+        ([0.5], [], True),
+        ([], [-1.0], False),
+    ])
+    def test_hand_cases(self, ar, ma, inside):
+        assert arma_mod._in_identifiable_region(np.array(ar), np.array(ma)) is inside
+
+
 class TestFitArma:
     def test_constant_series(self):
         model = fit_arma(np.full(50, 5.0), 0, 0)

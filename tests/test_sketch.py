@@ -174,6 +174,40 @@ class TestEncodeVector:
         with pytest.raises(SketchParamsError):
             encode_vector(np.zeros(19, dtype=np.int64), p, draw_seeds(p.depth, random.Random(6)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_key_path(self, seed):
+        # the per-key update/estimate path is the reference; amounts reach
+        # past 2**32 and the largest key is always set
+        p = make_params(582, 0.01, 0.05)
+        seeds = draw_seeds(p.depth, random.Random(seed))
+        rng = np.random.default_rng(seed)
+        v = np.zeros(582, dtype=np.uint64)
+        v[rng.choice(582, size=60, replace=False)] = rng.integers(1, 1 << 40, size=60)
+        v[581] = (1 << 32) + 5
+        ref = CountMinSketch(p, seeds)
+        for key in np.flatnonzero(v):
+            ref.update(int(key), int(v[key]))
+        sk = encode_vector(v, p, seeds)
+        assert np.array_equal(sk.counters, ref.counters)
+        assert estimate_vector(sk).tolist() == [ref.estimate(k) for k in range(582)]
+
+    def test_column_table_matches_columns_for_large_keys(self):
+        # keys with high bits set exercise every partial product of the
+        # 61-bit multiply; the largest key is input_size - 1
+        p = make_params(1 << 62, 0.1, 0.1)
+        sk = fresh(p, seed=11)
+        keys = [0, 1, (1 << 32) - 1, 1 << 32, HASH_PRIME - 1, HASH_PRIME, (1 << 62) - 1]
+        keys += random.Random(11).sample(range(1 << 62), 50)
+        table = sk.column_table(np.array(keys))
+        assert table.T.tolist() == [list(sk.columns(k)) for k in keys]
+
+    def test_estimate_vector_rejects_outside_keys(self):
+        sk = fresh(make_params(20, 0.2, 0.2))
+        with pytest.raises(SketchParamsError):
+            estimate_vector(sk, [3, 20])
+        with pytest.raises(SketchParamsError):
+            estimate_vector(sk, [-1])
+
 
 class TestLinearity:
     def test_encode_sum_equals_merge(self):

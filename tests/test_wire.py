@@ -213,10 +213,20 @@ class TestHostileInput:
           "vector_length": True}, decode_announcement),
         ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "00"},
           "vector_length": 1, "sketch_seeds": [[1]]}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "00"},
+          "vector_length": 1}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "11" * 32},
+          "vector_length": 2**40}, decode_announcement),
     ])
     def test_missing_or_mistyped_fields_rejected(self, header, decode):
         with pytest.raises(ProtocolError):
             decode(frame(header))
+
+    def test_od_vector_length_admitted(self):
+        # 582 stations squared: the longest vector the pipeline announces
+        header = {"type": "round", "round_id": 0, "members": [0],
+                  "public_keys": {"0": "11" * 32}, "vector_length": 582 * 582}
+        assert decode_announcement(frame(header)).vector_length == 338_724
 
     @settings(max_examples=300, deadline=None)
     @given(blob=st.one_of(
