@@ -6,52 +6,34 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.stats import rankdata
 
 from ..timeseries import RoiTimeSeries
 
 
 def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(v.size, dtype=np.float64)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    return rankdata(np.asarray(values, dtype=np.float64), method="average")
 
 
 def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Spearman's rho; NaN when either input has zero rank variance.
+    """Spearman's rho, the Pearson correlation of the average ranks.
 
-    Tie-free inputs use the closed form 1 - 6*sum(d^2)/(n(n^2-1)); inputs
-    with ties fall back to the Pearson correlation of the rank vectors,
-    which the closed form specializes.
+    NaN when either input has zero rank variance or holds a NaN.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
-    n = xa.size
-    if n < 2:
+    if xa.size < 2:
         raise ValueError("need at least 2 observations")
     rx = average_ranks(xa)
     ry = average_ranks(ya)
-    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
+    if not (np.ptp(rx) > 0.0 and np.ptp(ry) > 0.0):
         return float("nan")
-    ties = np.unique(xa).size < n or np.unique(ya).size < n
-    if not ties:
-        d = rx - ry
-        rho = 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
-    else:
-        cx = rx - rx.mean()
-        cy = ry - ry.mean()
-        rho = float(cx @ cy) / float(np.sqrt((cx @ cx) * (cy @ cy)))
+    cx = rx - rx.mean()
+    cy = ry - ry.mean()
+    rho = float(cx @ cy) / float(np.sqrt((cx @ cx) * (cy @ cy)))
     return float(min(1.0, max(-1.0, rho)))
 
 

@@ -4,11 +4,13 @@ The forecaster works a day at a time: refit on the trailing training window
 at the day boundary, then walk the day's slots predicting one step ahead and
 feeding the true observation back in before the next slot. Predictions are
 re-seasonalized before scoring, so errors are in observed-count units.
+Each day depends only on its own training window, so any run of days can be
+taken out of a longer scan (``RollingForecast.days``) unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -27,10 +29,9 @@ from .arma import FitError, fit_arma, forecast_one, select_order
 class RollingForecast:
     """One-step predictions over consecutive scanned days for one ROI.
 
-    ``residuals`` are signed (actual - predicted). ``train_mu`` and
-    ``train_sigma`` summarize the in-sample innovations of the first day's
-    fitted model; they are diagnostics only. Anomaly thresholds need
-    out-of-sample error statistics, see calibrate_residuals.
+    ``residuals`` are signed (actual - predicted) and out-of-sample, which
+    is what anomaly thresholds need, see calibrate_residuals.
+    ``fallback_epochs`` lists the slots of days whose fit failed.
     """
 
     roi_id: int
@@ -41,8 +42,25 @@ class RollingForecast:
     errors: ForecastErrors
     orders: Tuple[int, int]
     fallback_epochs: Tuple[int, ...]
-    train_mu: float
-    train_sigma: float
+
+    def days(self, first_day: int, n_days: int, epochs_per_day: int = 24) -> RollingForecast:
+        """The slots of ``n_days`` days from ``first_day``, as if scanned alone."""
+        lo, hi = first_day * epochs_per_day, (first_day + n_days) * epochs_per_day
+        i0 = lo - int(self.epoch_indices[0])
+        if n_days < 1 or i0 < 0 or i0 + hi - lo > len(self.epoch_indices):
+            raise ValueError(f"days {first_day}..{first_day + n_days - 1} are outside the scan")
+        window = slice(i0, i0 + hi - lo)
+        actuals = self.actuals[window]
+        predictions = self.predictions[window]
+        return replace(
+            self,
+            epoch_indices=self.epoch_indices[window],
+            actuals=actuals,
+            predictions=predictions,
+            residuals=self.residuals[window],
+            errors=forecast_errors(actuals, predictions),
+            fallback_epochs=tuple(t for t in self.fallback_epochs if lo <= t < hi),
+        )
 
 
 def rolling_scan(
@@ -88,8 +106,6 @@ def rolling_scan(
     predictions: list[float] = []
     residuals: list[float] = []
     fallback: list[int] = []
-    train_mu = train_sigma = float("nan")
-    have_train_stats = False
 
     for day in range(start_day, start_day + n_days):
         w0 = (day - train_days) * epd
@@ -99,11 +115,6 @@ def rolling_scan(
             model = fit_arma(window, p, q)
         except (FitError, ValueError, np.linalg.LinAlgError):
             model = None
-        if model is not None and not have_train_stats:
-            tail = model.residuals[model.p :]
-            train_mu = float(tail.mean())
-            train_sigma = float(tail.std())
-            have_train_stats = True
 
         history = list(window)
         innovations = list(model.residuals) if model is not None else []
@@ -131,8 +142,6 @@ def rolling_scan(
         errors=forecast_errors(actuals, preds),
         orders=(p, q),
         fallback_epochs=tuple(fallback),
-        train_mu=train_mu,
-        train_sigma=train_sigma,
     )
 
 

@@ -27,15 +27,11 @@ import numpy as np
 from .. import sketch as cms
 from ..forecast import (
     FitError,
-    calibrate_residuals,
     correlated_rois,
-    detect_anomalies,
     enhanced_forecast,
     fit_arma,
     rank_anomalies,
     rolling_forecast,
-    rolling_scan,
-    select_order,
     write_anomaly_report,
     write_forecast_report,
     write_model_dump,
@@ -51,7 +47,7 @@ from ..ingest import (
     write_series_csv,
 )
 from ..timeseries import EpochSpec, deseasonalize, seasonal_profile
-from .pipeline import write_enhancement_report
+from .pipeline import analyze_roi, write_enhancement_report
 from .reports import (
     format_overhead_table,
     overhead_report,
@@ -154,30 +150,12 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
     rois = range(series_set.n_rois) if args.roi is None else [args.roi]
     events = []
     for roi in rois:
-        series = series_set.series(roi)
-        profile = seasonal_profile(series, truncate=True)
-        orders = _orders(args.orders)
-        if orders is None:
-            d = deseasonalize(series, profile).values
-            w1 = args.start_day * 24
-            orders = select_order(d[w1 - args.train_days * 24 : w1], 3, 2)
-        mu, sigma = calibrate_residuals(
-            series, profile, args.start_day,
+        events.extend(analyze_roi(
+            series_set.series(roi), args.start_day, days,
             train_days=args.train_days,
             calibration_days=args.calibration_days,
-            orders=orders,
-        )
-        scan = rolling_scan(
-            series, profile, args.start_day, days,
-            train_days=args.train_days, orders=orders,
-        )
-        if np.isfinite(sigma) and sigma > 0:
-            events.extend(
-                detect_anomalies(
-                    scan.residuals, mu, sigma,
-                    roi_id=roi, epoch_offset=int(scan.epoch_indices[0]),
-                )
-            )
+            orders=_orders(args.orders),
+        ).events)
     ranked = rank_anomalies(events, args.keep_fraction) if events else []
     write_anomaly_report(out / "anomalies.csv", ranked)
     print(f"{len(events)} flagged slots, kept {len(ranked)} -> {out}")
@@ -400,6 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         defaults = (
             json.loads(Path(config_path).read_text()) if config_path is not None else None
         )
+        if defaults is not None and not isinstance(defaults, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
         parser = build_parser(defaults)
         args = parser.parse_args(argv)
         return args.func(args)

@@ -20,12 +20,10 @@ from ..forecast import (
     AnomalyEvent,
     EnhancedForecast,
     RollingForecast,
-    calibrate_residuals,
     correlated_rois,
     detect_anomalies,
     enhanced_forecast,
     rank_anomalies,
-    rolling_forecast,
     rolling_scan,
     select_order,
     write_anomaly_report,
@@ -44,6 +42,18 @@ from .synth import synthetic_counts
 from .transport import InProcessTransport
 
 EPOCHS_PER_DAY = 24
+# order-selection budget when no orders are given; hourly count series
+# rarely justify more structure, and the full grid is slow at scale
+MAX_P, MAX_Q = 3, 2
+
+
+def _check_scan_window(scan_start_day: int, train_days: int, calibration_days: int) -> None:
+    if calibration_days < 1:
+        raise ValueError("calibration_days must be >= 1")
+    if scan_start_day < train_days + calibration_days:
+        raise ValueError(
+            "scan_start_day needs train_days + calibration_days of history before it"
+        )
 
 
 @dataclass(frozen=True)
@@ -54,26 +64,16 @@ class PipelineConfig:
     weeks: int = 4
     train_days: int = 5
     calibration_days: int = 7          # out-of-sample window sizing the 3-sigma band
-    test_day: int | None = None        # default: the last day
     scan_start_day: int = 12           # first day of the anomaly scan
     keep_fraction: float = 0.10
     top_k: int = 2
     max_lag: int = 1
     arma_orders: tuple[int, int] | None = None
-    # order-selection budget when arma_orders is None; hourly count series
-    # rarely justify more structure, and the full grid is slow at scale
-    max_p: int = 3
-    max_q: int = 2
 
     def __post_init__(self) -> None:
         if self.weeks < 1:
             raise ValueError("weeks must be >= 1")
-        if self.calibration_days < 1:
-            raise ValueError("calibration_days must be >= 1")
-        if self.scan_start_day < self.train_days + self.calibration_days:
-            raise ValueError(
-                "scan_start_day needs train_days + calibration_days of history before it"
-            )
+        _check_scan_window(self.scan_start_day, self.train_days, self.calibration_days)
 
 
 @dataclass(frozen=True)
@@ -121,94 +121,112 @@ def collect_aggregate_series(
 
 # --- analytics side: sees the aggregate matrix and nothing upstream of it ---
 
+@dataclass(frozen=True)
+class RoiAnalysis:
+    """One ROI's profile, rolling scan and 3-sigma events.
+
+    ``scan`` runs from the first calibration day through the last scanned
+    day; (mu, sigma) come from its calibration slots, ``events`` from the rest.
+    """
+
+    profile: SeasonalProfile
+    deseasonalized: RoiTimeSeries
+    scan: RollingForecast
+    mu: float
+    sigma: float
+    events: tuple[AnomalyEvent, ...]
+
+
+def analyze_roi(
+    series: RoiTimeSeries,
+    start_day: int,
+    n_days: int,
+    train_days: int = 5,
+    calibration_days: int = 7,
+    orders: tuple[int, int] | None = None,
+) -> RoiAnalysis:
+    """Scan ``n_days`` days from ``start_day`` against a calibrated band.
+
+    Orders default to an AIC selection on the training window before the
+    anomaly scan and stay frozen for every day of the one rolling scan.
+    """
+    _check_scan_window(start_day, train_days, calibration_days)
+    if n_days < 1:
+        raise ValueError("the anomaly scan needs at least one day")
+    profile = seasonal_profile(series, truncate=True)
+    deseasonalized = deseasonalize(series, profile)
+    if orders is None:
+        w1 = start_day * EPOCHS_PER_DAY
+        window = deseasonalized.values[w1 - train_days * EPOCHS_PER_DAY : w1]
+        orders = select_order(window, MAX_P, MAX_Q)
+    scan = rolling_scan(
+        series, profile, start_day - calibration_days, calibration_days + n_days,
+        train_days=train_days, orders=orders,
+    )
+    split = calibration_days * EPOCHS_PER_DAY
+    calibration = scan.residuals[:split]
+    mu, sigma = float(calibration.mean()), float(calibration.std())
+    events: tuple[AnomalyEvent, ...] = ()
+    if np.isfinite(sigma) and sigma > 0:
+        events = tuple(
+            detect_anomalies(
+                scan.residuals[split:], mu, sigma,
+                roi_id=series.roi_id, epoch_offset=int(scan.epoch_indices[split]),
+            )
+        )
+    return RoiAnalysis(profile, deseasonalized, scan, mu, sigma, events)
+
+
 def analyze_aggregates(
     aggregates: SeriesSet,
     config: PipelineConfig,
     out_dir: str | Path,
 ) -> PipelineResult:
-    """Profile, scan, rank, and enhance; emits the three report CSVs."""
+    """Analyze every ROI, rank, and enhance; emits the three report CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_days = aggregates.epochs.n_epochs // EPOCHS_PER_DAY
-    test_day = config.test_day if config.test_day is not None else n_days - 1
-    if not (config.train_days <= test_day < n_days):
-        raise ValueError(f"test day {test_day} is outside the usable range")
-
-    series: dict[int, RoiTimeSeries] = {}
-    profiles: dict[int, SeasonalProfile] = {}
-    deseasonalized: dict[int, RoiTimeSeries] = {}
-    stationary: dict[int, bool] = {}
-    orders: dict[int, tuple[int, int]] = {}
-    w0 = (config.scan_start_day - config.train_days) * EPOCHS_PER_DAY
-    w1 = config.scan_start_day * EPOCHS_PER_DAY
-    for roi in range(aggregates.n_rois):
-        s = aggregates.series(roi)
-        prof = seasonal_profile(s, truncate=True)
-        series[roi] = s
-        profiles[roi] = prof
-        deseasonalized[roi] = deseasonalize(s, prof)
-        stationary[roi] = adf_stationary(deseasonalized[roi]).stationary
-        # one selection per ROI, frozen for the scan and the test day
-        orders[roi] = config.arma_orders or select_order(
-            deseasonalized[roi].values[w0:w1], config.max_p, config.max_q
-        )
-
-    forecasts: dict[int, RollingForecast] = {}
-    forecast_rows: list[tuple[int, int, float, float]] = []
-    for roi in range(aggregates.n_rois):
-        fc = rolling_forecast(
-            series[roi], profiles[roi], test_day,
-            train_days=config.train_days, orders=orders[roi],
-        )
-        forecasts[roi] = fc
-        forecast_rows.extend(
-            (roi, int(e), float(a), float(p))
-            for e, a, p in zip(fc.epoch_indices, fc.actuals, fc.predictions)
-        )
-
-    scans: dict[int, RollingForecast] = {}
-    events: list[AnomalyEvent] = []
     scan_days = n_days - config.scan_start_day
-    for roi in range(aggregates.n_rois):
-        mu, sigma = calibrate_residuals(
-            series[roi], profiles[roi], config.scan_start_day,
+    analyses = [
+        analyze_roi(
+            aggregates.series(roi), config.scan_start_day, scan_days,
             train_days=config.train_days,
             calibration_days=config.calibration_days,
-            orders=orders[roi],
+            orders=config.arma_orders,
         )
-        scan = rolling_scan(
-            series[roi], profiles[roi], config.scan_start_day, scan_days,
-            train_days=config.train_days, orders=orders[roi],
-        )
-        scans[roi] = scan
-        if np.isfinite(sigma) and sigma > 0:
-            events.extend(
-                detect_anomalies(
-                    scan.residuals, mu, sigma,
-                    roi_id=roi, epoch_offset=int(scan.epoch_indices[0]),
-                )
-            )
+        for roi in range(aggregates.n_rois)
+    ]
+    stationary = {r: adf_stationary(a.deseasonalized).stationary for r, a in enumerate(analyses)}
+    scans = {r: a.scan.days(config.scan_start_day, scan_days) for r, a in enumerate(analyses)}
+    # the forecast report covers the last day, where every scan ends
+    forecasts = {r: a.scan.days(n_days - 1, 1) for r, a in enumerate(analyses)}
+    forecast_rows = [
+        (roi, int(e), float(a), float(p))
+        for roi, fc in forecasts.items()
+        for e, a, p in zip(fc.epoch_indices, fc.actuals, fc.predictions)
+    ]
+    events = [e for a in analyses for e in a.events]
     ranked = tuple(rank_anomalies(events, config.keep_fraction)) if events else ()
 
     enhancement: EnhancedForecast | None = None
     helper_ids: tuple[int, ...] = ()
     if ranked and aggregates.n_rois >= 2:
         top = ranked[0]
-        anomaly_day = top.epoch_index // EPOCHS_PER_DAY
-        candidates = [deseasonalized[r] for r in sorted(deseasonalized) if r != top.roi_id]
+        target = analyses[top.roi_id]
+        candidates = [a.deseasonalized for r, a in enumerate(analyses) if r != top.roi_id]
         matches = correlated_rois(
-            deseasonalized[top.roi_id], candidates,
+            target.deseasonalized, candidates,
             max_lag_epochs=config.max_lag, top_k=config.top_k,
         )
         helper_ids = tuple(m.candidate_roi for m in matches)
         if helper_ids:
             enhancement = enhanced_forecast(
-                series[top.roi_id],
-                [deseasonalized[h] for h in helper_ids],
-                profiles[top.roi_id],
-                anomaly_day,
+                aggregates.series(top.roi_id),
+                [analyses[h].deseasonalized for h in helper_ids],
+                target.profile,
+                top.epoch_index // EPOCHS_PER_DAY,
                 train_days=config.train_days,
-                arma_orders=orders[top.roi_id],
+                arma_orders=target.scan.orders,
             )
 
     paths = {

@@ -10,7 +10,8 @@ from numpy.random import default_rng
 
 import mobagg.harness.cli as cli_mod
 from mobagg.harness.cli import main
-from mobagg.harness.simulate import OracleMismatch
+from mobagg.harness.pipeline import PipelineConfig, analyze_aggregates
+from mobagg.harness.simulate import OracleMismatch, SimConfig
 from mobagg.ingest import GridSpec, SeriesSet, read_series_csv, write_series_csv
 from mobagg.timeseries import EpochSpec
 
@@ -210,6 +211,31 @@ class TestAnomaliesCli:
         assert int(top[-1]) == 1
         assert "flagged slots" in capsys.readouterr().out
 
+    def test_report_matches_the_pipeline(self, tmp_path):
+        # the CLI and analyze_aggregates run the same per-ROI path
+        counts = synth_counts(2, 672, seed=4)
+        counts[1, 14 * 24 + 17] += 50
+        series = write_series(tmp_path, counts)
+        out = tmp_path / "cli"
+        code = main(["--out", str(out), "anomalies", "--series", str(series), "--orders", "1,0"])
+        assert code == 0
+        sim = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=2)
+        config = PipelineConfig(sim=sim, arma_orders=(1, 0))
+        result = analyze_aggregates(read_series_csv(series)[0], config, tmp_path / "pipeline")
+        expected = (out / "anomalies.csv").read_bytes()
+        assert result.paths["anomalies"].read_bytes() == expected
+        assert len(read_rows(out / "anomalies.csv")) >= 2
+
+    def test_start_day_without_history_exits_one(self, tmp_path, capsys):
+        series = write_series(tmp_path, synth_counts(1, 672))
+        code = main(
+            ["--out", str(tmp_path / "out"), "anomalies", "--series", str(series),
+             "--start-day", "3"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "scan_start_day needs train_days + calibration_days of history" in err
+
 
 class TestEnhanceCli:
     def two_roi_series(self, tmp_path):
@@ -347,6 +373,12 @@ class TestConfigAndUsage:
         )
         assert code == 0
         assert "orders (1, 0)" in capsys.readouterr().out
+
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["--config", str(cfg), "sketch-bench"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

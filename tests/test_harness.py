@@ -6,10 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mobagg.forecast.rolling as rolling_mod
 import mobagg.harness.simulate as sim_mod
+from mobagg.forecast import (
+    FitError,
+    calibrate_residuals,
+    detect_anomalies,
+    rolling_forecast,
+    rolling_scan,
+    select_order,
+)
 from mobagg.harness.pipeline import (
     PipelineConfig,
     analyze_aggregates,
+    analyze_roi,
     collect_aggregate_series,
     run_pipeline,
 )
@@ -28,7 +38,7 @@ from mobagg.harness.simulate import (
     simulate_round,
     synthesize_users,
 )
-from mobagg.harness.synth import synthetic_counts
+from mobagg.harness.synth import seasonal_series, synthetic_counts
 from mobagg.harness.transport import (
     DOWNLOAD,
     UPLOAD,
@@ -36,6 +46,7 @@ from mobagg.harness.transport import (
     TcpLoopbackTransport,
 )
 from mobagg.privagg import GroupView, VectorMessage, encode_announcement, encode_vector_message
+from mobagg.timeseries import deseasonalize, seasonal_profile
 
 
 class TestSynthesizeUsers:
@@ -304,3 +315,72 @@ class TestPipeline:
             PipelineConfig(sim=SIM, scan_start_day=11)  # needs 5 + 7 days before it
         with pytest.raises(ValueError):
             PipelineConfig(sim=SIM, weeks=0)
+
+
+def assert_same_scan(a, b):
+    assert np.array_equal(a.epoch_indices, b.epoch_indices)
+    assert np.array_equal(a.actuals, b.actuals)
+    assert np.array_equal(a.predictions, b.predictions)
+    assert np.array_equal(a.residuals, b.residuals)
+    assert np.array_equal(a.errors.absolute, b.errors.absolute)
+    assert np.array_equal(a.errors.percentage, b.errors.percentage, equal_nan=True)
+    assert a.errors.mean == b.errors.mean
+    assert a.orders == b.orders
+    assert a.fallback_epochs == b.fallback_epochs
+
+
+class TestAnalyzeRoi:
+    """One contiguous scan per ROI equals the separate reference scans exactly."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return seasonal_series(0, 4, np.random.default_rng(0), phi=0.6, sigma=6.0)
+
+    def check_against_references(self, series, orders):
+        result = analyze_roi(series, 12, 4, train_days=5, calibration_days=7, orders=orders)
+        profile = seasonal_profile(series, truncate=True)
+        if orders is None:
+            d = deseasonalize(series, profile).values
+            orders = select_order(d[7 * 24 : 12 * 24], 3, 2)
+        assert result.scan.orders == orders
+        mu, sigma = calibrate_residuals(series, profile, 12, train_days=5,
+                                        calibration_days=7, orders=orders)
+        assert result.mu == mu and result.sigma == sigma
+        scan = rolling_scan(series, profile, 12, 4, train_days=5, orders=orders)
+        assert_same_scan(result.scan.days(12, 4), scan)
+        last = rolling_forecast(series, profile, 15, train_days=5, orders=orders)
+        assert_same_scan(result.scan.days(15, 1), last)
+        events = detect_anomalies(scan.residuals, mu, sigma, roi_id=0, epoch_offset=12 * 24)
+        assert list(result.events) == events
+        return result
+
+    def test_selected_orders_match_separate_calls(self, series):
+        result = self.check_against_references(series, None)
+        assert np.array_equal(result.scan.epoch_indices, np.arange(5 * 24, 16 * 24))
+        with pytest.raises(ValueError):
+            result.scan.days(4, 1)
+        with pytest.raises(ValueError):
+            result.scan.days(15, 2)
+
+    def test_fallback_days_are_sliced_with_their_slots(self, series, monkeypatch):
+        d = deseasonalize(series, seasonal_profile(series, truncate=True)).values
+        failing = [d[(day - 5) * 24 : day * 24] for day in (9, 13)]  # calibration, scan
+        fit = rolling_mod.fit_arma
+
+        def flaky(window, p, q):
+            if any(np.array_equal(window, w) for w in failing):
+                raise FitError("forced")
+            return fit(window, p, q)
+
+        monkeypatch.setattr(rolling_mod, "fit_arma", flaky)
+        result = self.check_against_references(series, (1, 0))
+        day9, day13 = tuple(range(9 * 24, 10 * 24)), tuple(range(13 * 24, 14 * 24))
+        assert result.scan.fallback_epochs == day9 + day13
+        assert result.scan.days(12, 4).fallback_epochs == day13
+        assert result.scan.days(15, 1).fallback_epochs == ()
+
+    def test_scan_window_needs_history(self, series):
+        with pytest.raises(ValueError, match="train_days \\+ calibration_days"):
+            analyze_roi(series, 11, 4)
+        with pytest.raises(ValueError):
+            analyze_roi(series, 12, 0)

@@ -87,7 +87,6 @@ class TestRollingForecast:
         slots = [series.epochs.slot_of(t) for t in range(600, 624)]
         seasonal = [profile.mean_at(wd, hr) for wd, hr in slots]
         assert np.allclose(result.predictions, seasonal)
-        assert np.isnan(result.train_mu) and np.isnan(result.train_sigma)
 
     def test_raw_fallback_uses_window_mean(self, noisy_fixture, monkeypatch):
         series, _ = noisy_fixture
