@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from ..timeseries import (
-    ForecastErrors,
-    RoiTimeSeries,
-    SeasonalProfile,
-    deseasonalize,
-    forecast_errors,
-)
-from .rolling import RollingForecast, rolling_forecast
+from ..timeseries import ForecastErrors, RoiTimeSeries, forecast_errors
+from .rolling import RollingForecast
 from .var import CollinearInputs, fit_var, forecast_var
 
 
@@ -22,14 +16,13 @@ from .var import CollinearInputs, fit_var, forecast_var
 class EnhancedForecast:
     """VAR predictions for one test day, scored against the local baseline.
 
-    ``improvement`` is 1 - (VAR MAE / baseline MAE); a failed VAR fit falls
-    back to the baseline predictions with improvement 0 and ``fell_back``
-    set, never an exception.
+    The day's slots and actuals are the baseline's. ``improvement`` is
+    1 - (VAR MAE / baseline MAE); a failed VAR fit falls back to the
+    baseline predictions with improvement 0 and ``fell_back`` set, never an
+    exception.
     """
 
     roi_id: int
-    epoch_indices: np.ndarray
-    actuals: np.ndarray
     predictions: np.ndarray
     errors: ForecastErrors
     baseline: RollingForecast
@@ -39,36 +32,38 @@ class EnhancedForecast:
 
 
 def enhanced_forecast(
+    baseline: RollingForecast,
     target: RoiTimeSeries,
     helpers: Sequence[RoiTimeSeries],
-    profile: SeasonalProfile | None,
-    test_day: int,
     train_days: int = 5,
-    arma_orders: Tuple[int, int] | None = None,
     var_order: int | None = None,
     epochs_per_day: int = 24,
 ) -> EnhancedForecast:
-    """One-step VAR forecasts of ``target`` helped by de-seasonalized peers.
+    """One-step VAR forecasts of the baseline's day helped by peers.
 
-    The VAR stacks the target's de-seasonalized series with the helpers and
-    rolls through the test day exactly like the scalar forecaster (truth fed
-    back each slot, fit frozen at the day boundary). The VAR order defaults
-    to the baseline's AR order clamped to [1, 3].
+    ``baseline`` is the target's one-day slice of its rolling scan; the test
+    day, actuals and orders come from it. ``target`` is the series that scan
+    modelled (de-seasonalized, or raw without a profile) and ``helpers`` are
+    de-seasonalized peers of its length. The VAR rolls through the day like
+    the scalar forecaster (truth fed back each slot, fit frozen at the day
+    boundary) and gets the baseline's seasonal offset back. The VAR order
+    defaults to the baseline's AR order clamped to [1, 3].
     """
     if not helpers:
         raise ValueError("enhanced forecast needs at least one helper series")
-    baseline = rolling_forecast(
-        target, profile, test_day,
-        train_days=train_days, orders=arma_orders, epochs_per_day=epochs_per_day,
-    )
     epd = epochs_per_day
-    if profile is not None:
-        d_target = deseasonalize(target, profile).values
-    else:
-        d_target = target.values
-    seasonal = target.values - d_target
+    idx = baseline.epoch_indices
+    if len(idx) != epd or idx[0] % epd:
+        raise ValueError(f"the baseline must cover exactly one day, it has {len(idx)} slots")
+    if baseline.roi_id != target.roi_id:
+        raise ValueError(f"baseline is for ROI {baseline.roi_id}, target is {target.roi_id}")
+    w1 = int(idx[0])
+    w0 = w1 - train_days * epd
+    if w0 < 0:
+        raise ValueError(f"the test day has less than {train_days} days of history")
+    seasonal = baseline.actuals - target.values[idx]
 
-    columns = [d_target]
+    columns = [target.values]
     for h in helpers:
         if len(h) != len(target):
             raise ValueError(
@@ -78,10 +73,6 @@ def enhanced_forecast(
     data = np.column_stack(columns)
 
     p_var = var_order if var_order is not None else max(1, min(3, baseline.orders[0]))
-    w0 = (test_day - train_days) * epd
-    w1 = test_day * epd
-    idx = np.arange(w1, w1 + epd)
-    actuals = target.values[idx]
 
     try:
         model = fit_var([data[w0:w1, j] for j in range(data.shape[1])], p_var)
@@ -89,13 +80,11 @@ def enhanced_forecast(
         preds = np.empty(epd)
         for slot, t in enumerate(range(w1, w1 + epd)):
             step = forecast_var(model, np.asarray(history[-model.p :]))
-            preds[slot] = step[0] + seasonal[t]
+            preds[slot] = step[0] + seasonal[slot]
             history.append(data[t])
     except (CollinearInputs, ValueError, np.linalg.LinAlgError):
         return EnhancedForecast(
             roi_id=target.roi_id,
-            epoch_indices=idx,
-            actuals=actuals,
             predictions=baseline.predictions.copy(),
             errors=baseline.errors,
             baseline=baseline,
@@ -104,13 +93,11 @@ def enhanced_forecast(
             var_order=p_var,
         )
 
-    errors = forecast_errors(actuals, preds)
+    errors = forecast_errors(baseline.actuals, preds)
     base_mae = baseline.errors.mean
     improvement = 1.0 - errors.mean / base_mae if base_mae > 0 else 0.0
     return EnhancedForecast(
         roi_id=target.roi_id,
-        epoch_indices=idx,
-        actuals=actuals,
         predictions=preds,
         errors=errors,
         baseline=baseline,

@@ -77,9 +77,10 @@ def rolling_scan(
     With a profile the model runs on de-seasonalized values and predictions
     are re-seasonalized; without one it runs on the raw series (the black-box
     baseline). ``orders`` defaults to an AIC selection on the first training
-    window. A day whose fit fails falls back to the seasonal mean (zero in
-    de-seasonalized space, the window mean in raw space) and its slots are
-    flagged rather than raised.
+    window; orders no training window can fit raise ``ValueError``. A day
+    whose fit fails falls back to the seasonal mean (zero in de-seasonalized
+    space, the window mean in raw space) and its slots are flagged rather
+    than raised.
     """
     epd = epochs_per_day
     if train_days < 1 or n_days < 1:
@@ -102,6 +103,9 @@ def rolling_scan(
         first = d[(start_day - train_days) * epd : start_day * epd]
         orders = select_order(first)
     p, q = orders
+    # checked once: the day loop below takes fit_arma's ValueError for a failed fit
+    if p < 0 or q < 0 or 10 * (p + q + 1) > train_days * epd:
+        raise ValueError(f"ARMA({p},{q}) cannot fit a {train_days * epd}-slot training window")
 
     predictions: list[float] = []
     residuals: list[float] = []

@@ -27,11 +27,10 @@ import numpy as np
 from .. import sketch as cms
 from ..forecast import (
     FitError,
-    correlated_rois,
-    enhanced_forecast,
     fit_arma,
     rank_anomalies,
     rolling_forecast,
+    rolling_scan,
     write_anomaly_report,
     write_forecast_report,
     write_model_dump,
@@ -47,7 +46,7 @@ from ..ingest import (
     write_series_csv,
 )
 from ..timeseries import EpochSpec, deseasonalize, seasonal_profile
-from .pipeline import analyze_roi, write_enhancement_report
+from .pipeline import analyze_roi, enhance_roi, write_enhancement_report
 from .reports import (
     format_overhead_table,
     overhead_report,
@@ -168,26 +167,20 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     if series_set.n_rois < 2:
         raise ValueError("enhancement needs at least two ROIs in the series file")
     target = series_set.series(args.target)
-    profile = seasonal_profile(target, truncate=True)
-    d_all = []
-    for roi in range(series_set.n_rois):
-        s = series_set.series(roi)
-        d_all.append(deseasonalize(s, seasonal_profile(s, truncate=True)))
-    matches = correlated_rois(
-        d_all[args.target],
-        [d for i, d in enumerate(d_all) if i != args.target],
-        max_lag_epochs=args.max_lag,
-        top_k=args.top_k,
-    )
-    helper_ids = tuple(m.candidate_roi for m in matches)
-    if not helper_ids:
-        raise ValueError("no usable helper series (all correlations undefined)")
+    every = [series_set.series(r) for r in range(series_set.n_rois)]
+    profiles = [seasonal_profile(s, truncate=True) for s in every]
+    d_all = [deseasonalize(s, p) for s, p in zip(every, profiles)]
     n_days = series_set.epochs.n_epochs // 24
     test_day = args.test_day if args.test_day is not None else n_days - 1
-    enh = enhanced_forecast(
-        target, [d_all[h] for h in helper_ids], profile, test_day,
-        train_days=args.train_days, arma_orders=_orders(args.orders),
+    baseline = rolling_scan(
+        target, profiles[args.target], test_day, 1,
+        train_days=args.train_days, orders=_orders(args.orders),
     )
+    enh, helper_ids = enhance_roi(
+        d_all, baseline, train_days=args.train_days, top_k=args.top_k, max_lag=args.max_lag,
+    )
+    if enh is None:
+        raise ValueError("no usable helper series (all correlations undefined)")
     write_enhancement_report(out / "enhancement.csv", enh, helper_ids)
     print(
         f"roi {args.target} day {test_day}: helpers {list(helper_ids)}, "
@@ -222,9 +215,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     reports = []
     try:
         for round_id in range(args.rounds):
-            vectors = np.array(
-                [[rng.randrange(4) for _ in range(plain_len)] for _ in range(config.n_users)],
-                dtype=np.int64,
+            vectors = np.random.default_rng(rng.getrandbits(64)).integers(
+                0, 4, (config.n_users, plain_len)
             )
             outcome = simulate_round(config, vectors, keys, round_id, rng, transport)
             reports.append(outcome.report)

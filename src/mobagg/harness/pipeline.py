@@ -13,6 +13,7 @@ import csv
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -177,6 +178,31 @@ def analyze_roi(
     return RoiAnalysis(profile, deseasonalized, scan, mu, sigma, events)
 
 
+def enhance_roi(
+    deseasonalized: Sequence[RoiTimeSeries],
+    baseline: RollingForecast,
+    train_days: int = 5,
+    top_k: int = 2,
+    max_lag: int = 1,
+) -> tuple[EnhancedForecast | None, tuple[int, ...]]:
+    """VAR forecast of the baseline's day helped by the best-correlated ROIs.
+
+    ``deseasonalized`` holds every ROI's series, the target's too;
+    ``baseline`` is the target's one-day slice of a rolling scan, so that
+    day is not fitted again. (None, ()) when no ROI correlates.
+    """
+    by_id = {s.roi_id: s for s in deseasonalized}
+    target = by_id[baseline.roi_id]
+    matches = correlated_rois(target, deseasonalized, max_lag_epochs=max_lag, top_k=top_k)
+    helper_ids = tuple(m.candidate_roi for m in matches)
+    if not helper_ids:
+        return None, ()
+    enhancement = enhanced_forecast(
+        baseline, target, [by_id[h] for h in helper_ids], train_days=train_days,
+    )
+    return enhancement, helper_ids
+
+
 def analyze_aggregates(
     aggregates: SeriesSet,
     config: PipelineConfig,
@@ -210,24 +236,13 @@ def analyze_aggregates(
 
     enhancement: EnhancedForecast | None = None
     helper_ids: tuple[int, ...] = ()
-    if ranked and aggregates.n_rois >= 2:
+    if ranked:
         top = ranked[0]
-        target = analyses[top.roi_id]
-        candidates = [a.deseasonalized for r, a in enumerate(analyses) if r != top.roi_id]
-        matches = correlated_rois(
-            target.deseasonalized, candidates,
-            max_lag_epochs=config.max_lag, top_k=config.top_k,
+        enhancement, helper_ids = enhance_roi(
+            [a.deseasonalized for a in analyses],
+            analyses[top.roi_id].scan.days(top.epoch_index // EPOCHS_PER_DAY, 1),
+            train_days=config.train_days, top_k=config.top_k, max_lag=config.max_lag,
         )
-        helper_ids = tuple(m.candidate_roi for m in matches)
-        if helper_ids:
-            enhancement = enhanced_forecast(
-                aggregates.series(top.roi_id),
-                [analyses[h].deseasonalized for h in helper_ids],
-                target.profile,
-                top.epoch_index // EPOCHS_PER_DAY,
-                train_days=config.train_days,
-                arma_orders=target.scan.orders,
-            )
 
     paths = {
         "forecast": write_forecast_report(out / "forecast.csv", forecast_rows),
@@ -264,7 +279,7 @@ def write_enhancement_report(
             writer.writerow([
                 enhancement.roi_id,
                 ";".join(str(h) for h in helper_ids),
-                int(enhancement.epoch_indices[0]) // EPOCHS_PER_DAY,
+                int(enhancement.baseline.epoch_indices[0]) // EPOCHS_PER_DAY,
                 enhancement.var_order,
                 "%.10g" % enhancement.baseline.errors.mean,
                 "%.10g" % enhancement.errors.mean,

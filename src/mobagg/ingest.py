@@ -428,29 +428,44 @@ def read_series_csv(
     csv_path: str | Path,
     sidecar_path: str | Path | None = None,
 ) -> tuple[SeriesSet, GridSpec | None]:
-    """Inverse of write_series_csv; round-trips counts bit-exactly."""
+    """Inverse of write_series_csv; round-trips counts bit-exactly.
+
+    A missing sidecar field or a CSV row that is not three integers inside
+    the sidecar's shape raises ``ValueError`` (naming the row's line).
+    """
     csv_path = Path(csv_path)
     sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(csv_path.suffix + ".meta.json")
     meta = json.loads(sidecar.read_text())
-    epochs = EpochSpec(
-        start=datetime.fromisoformat(meta["epochs"]["start"]),
-        n_epochs=int(meta["epochs"]["n_epochs"]),
-        epoch_length=timedelta(seconds=int(meta["epochs"]["epoch_seconds"])),
-    )
-    counts = np.zeros((int(meta["n_rois"]), epochs.n_epochs), dtype=np.int64)
+    try:
+        epochs = EpochSpec(
+            start=datetime.fromisoformat(meta["epochs"]["start"]),
+            n_epochs=int(meta["epochs"]["n_epochs"]),
+            epoch_length=timedelta(seconds=int(meta["epochs"]["epoch_seconds"])),
+        )
+        n_rois = int(meta["n_rois"])
+        grid_meta = meta.get("grid")
+        grid = None
+        if grid_meta is not None:
+            grid = GridSpec(
+                origin_lat=float(grid_meta["origin_lat"]),
+                origin_lon=float(grid_meta["origin_lon"]),
+                rows=int(grid_meta["rows"]),
+                cols=int(grid_meta["cols"]),
+                cell_height_deg=float(grid_meta["cell_height_deg"]),
+                cell_width_deg=float(grid_meta["cell_width_deg"]),
+            )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{sidecar}: missing or malformed field {exc}") from None
+    counts = np.zeros((n_rois, epochs.n_epochs), dtype=np.int64)
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            counts[int(row["roi_id"]), int(row["epoch_index"])] = int(row["count"])
-    grid_meta = meta.get("grid")
-    grid = None
-    if grid_meta is not None:
-        grid = GridSpec(
-            origin_lat=float(grid_meta["origin_lat"]),
-            origin_lon=float(grid_meta["origin_lon"]),
-            rows=int(grid_meta["rows"]),
-            cols=int(grid_meta["cols"]),
-            cell_height_deg=float(grid_meta["cell_height_deg"]),
-            cell_width_deg=float(grid_meta["cell_width_deg"]),
-        )
+            where = f"{csv_path} line {reader.line_num}"
+            try:
+                roi, epoch, count = (int(row[k]) for k in ("roi_id", "epoch_index", "count"))
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{where}: needs integer roi_id, epoch_index, count") from None
+            if not (0 <= roi < n_rois and 0 <= epoch < epochs.n_epochs):
+                raise ValueError(f"{where}: roi {roi} or epoch {epoch} out of range")
+            counts[roi, epoch] = count
     return SeriesSet(counts, epochs, dropped=int(meta.get("dropped", 0))), grid

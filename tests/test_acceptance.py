@@ -262,7 +262,8 @@ def test_criterion_08_var_enhancement(record_property):
         d_target = deseasonalize(target, profile)
         d_helper = deseasonalize(helper, seasonal_profile(helper, truncate=True))
         orders = select_order(d_target.values[480:600], 3, 2)
-        enh = enhanced_forecast(target, [d_helper], profile, 25, arma_orders=orders)
+        baseline = rolling_scan(target, profile, 25, 1, orders=orders)
+        enh = enhanced_forecast(baseline, d_target, [d_helper])
         improvements.append(enh.improvement)
     mean_improvement = float(np.mean(improvements))
     ok = mean_improvement >= 0.15

@@ -236,6 +236,22 @@ class TestAnomaliesCli:
         err = capsys.readouterr().err
         assert "scan_start_day needs train_days + calibration_days of history" in err
 
+    def test_unfittable_orders_exit_one(self, tmp_path, capsys):
+        series = write_series(tmp_path, synth_counts(1, 672))
+        code = main(
+            ["--out", str(tmp_path / "out"), "anomalies", "--series", str(series),
+             "--orders", "9,9"]
+        )
+        assert code == 1
+        assert "ARMA(9,9) cannot fit a 120-slot training window" in capsys.readouterr().err
+
+    def test_out_of_range_series_row_exits_one(self, tmp_path, capsys):
+        series = write_series(tmp_path, synth_counts(1, 672))
+        series.write_text("roi_id,epoch_index,count\n0,0,5\n1,0,5\n")
+        code = main(["--out", str(tmp_path / "out"), "anomalies", "--series", str(series)])
+        assert code == 1
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestEnhanceCli:
     def two_roi_series(self, tmp_path):
@@ -271,6 +287,39 @@ class TestEnhanceCli:
         assert rows[1][7] in ("0", "1")
         assert "helpers [1]" in capsys.readouterr().out
 
+    def test_report_matches_the_pipeline(self, tmp_path):
+        # the CLI and analyze_aggregates run the same enhancement path; the
+        # CLI targets the pipeline's top anomaly at the same fixed orders
+        counts = synth_counts(3, 672, seed=5)
+        counts[1, 16 * 24 + 9] += 50
+        series = write_series(tmp_path, counts)
+        sim = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=3)
+        config = PipelineConfig(sim=sim, arma_orders=(2, 1))
+        result = analyze_aggregates(read_series_csv(series)[0], config, tmp_path / "pipeline")
+        top = result.anomalies[0]
+        assert (top.roi_id, top.epoch_index) == (1, 16 * 24 + 9)
+        out = tmp_path / "cli"
+        code = main(
+            ["--out", str(out), "enhance", "--series", str(series),
+             "--target", str(top.roi_id), "--test-day", str(top.epoch_index // 24),
+             "--orders", "2,1"]
+        )
+        assert code == 0
+        expected = result.paths["enhancement"].read_bytes()
+        assert (out / "enhancement.csv").read_bytes() == expected
+        assert len(read_rows(out / "enhancement.csv")) == 2
+
+    def test_no_usable_helper_exits_one(self, tmp_path, capsys):
+        counts = synth_counts(2, 672)
+        counts[1] = 0  # a constant helper has no defined correlation
+        series = write_series(tmp_path, counts)
+        code = main(
+            ["--out", str(tmp_path / "out"), "enhance", "--series", str(series),
+             "--target", "0", "--orders", "1,0"]
+        )
+        assert code == 1
+        assert "no usable helper" in capsys.readouterr().err
+
     def test_single_roi_exits_one(self, tmp_path, capsys):
         series = write_series(tmp_path, synth_counts(1, 168))
         code = main(
@@ -300,6 +349,15 @@ class TestSimulateCli:
         rounds = read_rows(out / "rounds.csv")
         assert len(rounds) > 1
         assert "station" in capsys.readouterr().out
+
+    def test_same_seed_same_rounds(self, tmp_path):
+        argv = ["simulate", "--users", "6", "--group-size", "3", "--threshold", "2",
+                "--rounds", "2", "--n-stations", "4", "--dropout", "0.2"]
+        for run in ("a", "b"):
+            assert main(["--seed", "5", "--out", str(tmp_path / run)] + argv) == 0
+        assert (tmp_path / "a" / "rounds.csv").read_bytes() == (
+            tmp_path / "b" / "rounds.csv"
+        ).read_bytes()
 
     def test_tcp_transport_runs(self, tmp_path):
         code = main(

@@ -323,3 +323,49 @@ class TestSeriesCsvRoundTrip:
         restored, grid = read_series_csv(path)
         assert grid == spec
         assert np.array_equal(restored.counts, original.counts)
+
+    @staticmethod
+    def small_pair(tmp_path):
+        from mobagg.ingest import SeriesSet
+
+        path = tmp_path / "counts.csv"
+        epochs = EpochSpec(start=datetime(2016, 2, 1), n_epochs=3)
+        write_series_csv(SeriesSet(np.ones((2, 3), dtype=np.int64), epochs), path)
+        return path, path.with_suffix(".csv.meta.json")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("roi_id,epoch_index,count\n0,0,1\n-1,0,5\n", "line 3"),
+            ("roi_id,epoch_index,count\n0,-1,7\n", "line 2"),
+            ("roi_id,epoch_index,count\n2,0,1\n", "line 2"),
+            ("roi_id,epoch_index,count\n0,3,1\n", "line 2"),
+            ("roi_id,epoch_index,count\n0,x,1\n", "line 2"),
+            ("roi_id,epoch_index,count\n0,1\n", "line 2"),
+            ("roi_id,epoch_index\n0,1\n", "line 2"),
+        ],
+        ids=["negative-roi", "negative-epoch", "roi-too-large", "epoch-too-large",
+             "not-an-integer", "short-row", "no-count-column"],
+    )
+    def test_bad_rows_raise_with_line(self, tmp_path, body, message):
+        path, _ = self.small_pair(tmp_path)
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "drop", [("n_rois",), ("epochs",), ("epochs", "n_epochs"), ("epochs", "start")],
+        ids=".".join,
+    )
+    def test_missing_sidecar_field_raises(self, tmp_path, drop):
+        import json
+
+        path, sidecar = self.small_pair(tmp_path)
+        meta = json.loads(sidecar.read_text())
+        parent = meta
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=drop[-1]):
+            read_series_csv(path)

@@ -75,6 +75,24 @@ class TestRollingForecast:
         with pytest.raises(ValueError):
             rolling_scan(series, profile, start_day=27, n_days=2)
 
+    @pytest.mark.parametrize(
+        "orders, train_days",
+        [((-1, 0), 5), ((0, -1), 5), ((9, 9), 5), ((1, 1), 1), ((6, 6), 5)],
+        ids=["negative-p", "negative-q", "9,9", "1,1-one-day", "6,6"],
+    )
+    def test_unfittable_orders_rejected(self, noisy_fixture, orders, train_days):
+        # 10·(p+q+1) observations must fit in train_days·24 slots; such
+        # orders used to turn every day into a seasonal-mean fallback
+        series, profile = noisy_fixture
+        with pytest.raises(ValueError, match="ARMA"):
+            rolling_scan(series, profile, 20, 3, train_days=train_days, orders=orders)
+
+    def test_largest_fittable_orders_run(self, noisy_fixture):
+        # 10·(1+0+1) = 20 of 24 slots, 10·(5+6+1) = 120 of 120
+        series, profile = noisy_fixture
+        assert rolling_scan(series, profile, 20, 1, train_days=1, orders=(1, 0)).orders == (1, 0)
+        assert len(rolling_scan(series, profile, 20, 1, orders=(5, 6)).predictions) == 24
+
     def test_fit_failure_falls_back_to_seasonal_mean(self, noisy_fixture, monkeypatch):
         series, profile = noisy_fixture
 
@@ -128,17 +146,18 @@ class TestEnhancedForecast:
         d_target = deseasonalize(target, profile)
         d_helper = deseasonalize(helper, seasonal_profile(helper))
         orders = select_order(d_target.values[480:600], 3, 2)
-        result = enhanced_forecast(target, [d_helper], profile, 25,
-                                   train_days=5, arma_orders=orders)
+        baseline = rolling_scan(target, profile, 25, 1, train_days=5, orders=orders)
+        result = enhanced_forecast(baseline, d_target, [d_helper], train_days=5)
         assert not result.fell_back
         assert result.improvement == pytest.approx(0.755561, abs=1e-6)  # frozen
         assert result.errors.mean < result.baseline.errors.mean
 
     def test_duplicate_helper_falls_back(self, noisy_fixture):
         series, profile = noisy_fixture
-        clone = RoiTimeSeries(9, deseasonalize(series, profile).values,
-                              series.epochs, kind="deseasonalized")
-        result = enhanced_forecast(series, [clone], profile, 25, arma_orders=(1, 0))
+        d = deseasonalize(series, profile)
+        clone = RoiTimeSeries(9, d.values, series.epochs, kind="deseasonalized")
+        baseline = rolling_scan(series, profile, 25, 1, orders=(1, 0))
+        result = enhanced_forecast(baseline, d, [clone])
         assert result.fell_back
         assert result.improvement == 0.0
         assert np.array_equal(result.predictions, result.baseline.predictions)
@@ -148,23 +167,40 @@ class TestEnhancedForecast:
         rng = np.random.default_rng(1)
         helper = RoiTimeSeries(7, rng.normal(0, 6, len(series)), series.epochs,
                                kind="deseasonalized")
-        no_ar = enhanced_forecast(series, [helper], profile, 25, arma_orders=(0, 1))
+        d = deseasonalize(series, profile)
+        no_ar = enhanced_forecast(rolling_scan(series, profile, 25, 1, orders=(0, 1)),
+                                  d, [helper])
         assert no_ar.var_order == 1
-        explicit = enhanced_forecast(series, [helper], profile, 25,
-                                     arma_orders=(1, 0), var_order=2)
+        explicit = enhanced_forecast(rolling_scan(series, profile, 25, 1, orders=(1, 0)),
+                                     d, [helper], var_order=2)
         assert explicit.var_order == 2
+
+    def test_baseline_must_be_one_day_of_the_target(self, noisy_fixture):
+        series, profile = noisy_fixture
+        d = deseasonalize(series, profile)
+        helper = RoiTimeSeries(7, np.zeros(len(series)), series.epochs, kind="deseasonalized")
+        two_days = rolling_scan(series, profile, 24, 2, orders=(1, 0))
+        with pytest.raises(ValueError, match="exactly one day"):
+            enhanced_forecast(two_days, d, [helper])
+        other = RoiTimeSeries(3, d.values, series.epochs, kind="deseasonalized")
+        with pytest.raises(ValueError, match="ROI"):
+            enhanced_forecast(two_days.days(25, 1), other, [helper])
+        with pytest.raises(ValueError, match="history"):
+            enhanced_forecast(two_days.days(25, 1), d, [helper], train_days=26)
 
     def test_needs_a_helper(self, noisy_fixture):
         series, profile = noisy_fixture
+        baseline = rolling_scan(series, profile, 25, 1, orders=(1, 0))
         with pytest.raises(ValueError):
-            enhanced_forecast(series, [], profile, 25)
+            enhanced_forecast(baseline, deseasonalize(series, profile), [])
 
     def test_helper_length_must_match(self, noisy_fixture):
         series, profile = noisy_fixture
         epochs = EpochSpec(series.epochs.start, len(series) - 24)
         short = RoiTimeSeries(7, np.zeros(len(series) - 24), epochs, kind="deseasonalized")
+        baseline = rolling_scan(series, profile, 25, 1, orders=(1, 0))
         with pytest.raises(ValueError):
-            enhanced_forecast(series, [short], profile, 25, arma_orders=(1, 0))
+            enhanced_forecast(baseline, deseasonalize(series, profile), [short])
 
     def test_noise_helpers_are_no_better_than_baseline(self):
         # 20-seed Monte-Carlo, frozen mean improvement +0.052; pure-noise
@@ -181,8 +217,8 @@ class TestEnhancedForecast:
             ]
             d = deseasonalize(target, profile)
             orders = select_order(d.values[480:600], 3, 2)
-            result = enhanced_forecast(target, helpers, profile, 25,
-                                       train_days=5, arma_orders=orders)
+            baseline = rolling_scan(target, profile, 25, 1, train_days=5, orders=orders)
+            result = enhanced_forecast(baseline, d, helpers, train_days=5)
             improvements.append(result.improvement)
         mean_improvement = float(np.mean(improvements))
         assert mean_improvement == pytest.approx(0.051981, abs=1e-6)  # frozen
