@@ -3,7 +3,15 @@
 Every pair of group members shares a DH point; one SHAKE-256 call over
 that point and the round id expands it into the pair's stream of 32-bit mask
 words (the PRG expansion of Bonawitz et al., "Practical Secure Aggregation
-for Privacy-Preserving Machine Learning", CCS 2017). Each member adds the
+for Privacy-Preserving Machine Learning", CCS 2017). A member computes each
+pair point once per keypair and derives every round's mask from (point,
+round id), the long-term pair keys of Kursawe, Danezis and Kohlweiss,
+"Privacy-Friendly Aggregation for the Smart-Grid" (PETS 2011): the points
+live in the ``KeyPair``'s own table, keyed by the peer's announced public
+key, so a re-keyed peer gets a fresh exchange. That table holds shared
+secrets, as sensitive as the private key, and grows by one point per
+distinct peer key the member is announced: at most the cohort under the
+threat model below. Each member adds the
 mask stream toward higher-positioned members and subtracts it toward
 lower-positioned ones, so the streams cancel exactly in the group sum:
 
@@ -118,6 +126,22 @@ def mask_stream(point: bytes, round_id: int, length: int) -> np.ndarray:
     return np.frombuffer(hashlib.shake_256(seed).digest(4 * length), dtype="<u4")
 
 
+def _pair_point(own: KeyPair, peer_public: bytes) -> bytes:
+    """The DH point with ``peer_public``, exchanged once per keypair.
+
+    A failed exchange (a low-order peer key yields the all-zero point, which
+    X25519 refuses) raises ProtocolError and is never stored.
+    """
+    point = own._points.get(peer_public)
+    if point is None:
+        try:
+            point = shared_point(own, peer_public)
+        except ValueError as exc:
+            raise ProtocolError(f"unusable peer public key: {exc}") from exc
+        own._points[peer_public] = point
+    return point
+
+
 def _signed_stream_sum(
     own: KeyPair,
     own_id: int,
@@ -132,7 +156,7 @@ def _signed_stream_sum(
         if peer_pos == pos:
             raise ProtocolError("a member has no pair stream with itself")
         stream = mask_stream(
-            shared_point(own, group.public_keys[peer]),
+            _pair_point(own, group.public_keys[peer]),
             group.round_id,
             group.vector_length,
         )

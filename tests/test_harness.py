@@ -45,7 +45,13 @@ from mobagg.harness.transport import (
     InProcessTransport,
     TcpLoopbackTransport,
 )
-from mobagg.privagg import GroupView, VectorMessage, encode_announcement, encode_vector_message
+from mobagg.privagg import (
+    GroupView,
+    KeyPair,
+    VectorMessage,
+    encode_announcement,
+    encode_vector_message,
+)
 from mobagg.timeseries import deseasonalize, seasonal_profile
 
 
@@ -128,6 +134,32 @@ class TestSimulateRound:
         online = list(outcome.online_users)
         assert 0 < len(online) < 12
         assert np.array_equal(outcome.values, vecs[online].sum(axis=0))
+
+    def test_warm_point_tables_match_cold_keypairs(self):
+        # keypairs kept across rounds reuse their pair points; keypairs rebuilt
+        # from the private bytes every round exchange afresh; nothing differs
+        cfg = SimConfig(n_users=12, group_size=4, threshold=2, mode="station",
+                        n_stations=3, dropout_rate=0.3)
+        vecs = np.random.default_rng(2).integers(0, 4, size=(12, 6))
+        runs = []
+        for cold in (False, True):
+            rng = random.Random(11)
+            keys = setup_users(12, rng)
+            outcomes = []
+            for round_id in range(5):
+                if cold:
+                    keys = {uid: KeyPair(k.private_bytes) for uid, k in keys.items()}
+                outcomes.append(simulate_round(cfg, vecs, keys, round_id, rng))
+            runs.append((keys, outcomes))
+        (warm_keys, warm), (_, cold) = runs
+        assert any(o.report.recovery_invoked for o in warm)
+        for a, b in zip(warm, cold):
+            assert np.array_equal(a.transported, b.transported)
+            assert np.array_equal(a.values, b.values)
+            assert a.online_users == b.online_users
+            assert a.report.upload_bytes == b.report.upload_bytes
+            assert a.report.download_bytes == b.report.download_bytes
+        assert max(len(k._points) for k in warm_keys.values()) <= cfg.n_users - 1
 
     def test_population_below_threshold_skips(self):
         cfg = SimConfig(n_users=2, group_size=2, threshold=3, mode="station", n_stations=2)

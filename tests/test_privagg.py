@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobagg.privagg.masking as masking_mod
 from mobagg.privagg import (
     GroupAssignmentError,
     GroupView,
@@ -35,6 +36,22 @@ def make_group(n, round_id=0, length=16, seed=0, ids=None):
         vector_length=length,
     )
     return keys, group
+
+
+def direct_factors(keys, uid, group):
+    """A member's factors summed straight from the sign rule, fresh exchanges."""
+    expected = np.zeros(group.vector_length, dtype=np.uint32)
+    pos = group.member_ids.index(uid)
+    for j, peer in enumerate(group.member_ids):
+        if peer == uid:
+            continue
+        point = shared_point(keys[uid], group.public_keys[peer])
+        stream = mask_stream(point, group.round_id, group.vector_length)
+        if pos < j:
+            expected += stream
+        else:
+            expected -= stream
+    return expected
 
 
 class TestKeygen:
@@ -75,18 +92,10 @@ class TestBlindingFactors:
     def test_group_of_seven_direct_summation_oracle(self):
         # recompute every member's factors straight from the sign rule
         keys, group = make_group(7, round_id=9, length=64, seed=7)
-        for i, uid in enumerate(group.member_ids):
-            expected = np.zeros(64, dtype=np.uint32)
-            for j, peer in enumerate(group.member_ids):
-                if peer == uid:
-                    continue
-                point = shared_point(keys[uid], keys[peer].public_bytes)
-                stream = mask_stream(point, group.round_id, 64)
-                if i < j:
-                    expected += stream
-                else:
-                    expected -= stream
-            assert np.array_equal(blinding_factors(keys[uid], uid, group), expected)
+        for uid in group.member_ids:
+            assert np.array_equal(
+                blinding_factors(keys[uid], uid, group), direct_factors(keys, uid, group)
+            )
         total = np.zeros(64, dtype=np.uint32)
         for uid in group.member_ids:
             total += blinding_factors(keys[uid], uid, group)
@@ -127,6 +136,67 @@ class TestBlindingFactors:
         s1 = mask_stream(point, 1, 2048)
         s2 = mask_stream(point, 2, 2048)
         assert int((s1 == s2).sum()) == 0
+
+
+class TestPairPointTable:
+    def test_later_round_makes_no_exchange(self, monkeypatch):
+        keys, first = make_group(6, round_id=3, length=32, seed=5)
+        for uid in first.member_ids:
+            blinding_factors(keys[uid], uid, first)
+        calls = []
+
+        def counting(own, peer_public):
+            calls.append(peer_public)
+            return shared_point(own, peer_public)
+
+        monkeypatch.setattr(masking_mod, "shared_point", counting)
+        later = GroupView(
+            round_id=4,
+            member_ids=first.member_ids,
+            public_keys=first.public_keys,
+            vector_length=32,
+        )
+        got = {uid: blinding_factors(keys[uid], uid, later) for uid in later.member_ids}
+        assert calls == []
+        for uid in later.member_ids:
+            assert np.array_equal(got[uid], direct_factors(keys, uid, later))
+
+    def test_rekeyed_peer_gets_new_point(self):
+        keys, group = make_group(2, round_id=1, length=8, seed=2)
+        blinding_factors(keys[0], 0, group)
+        fresh = keygen(77)
+        rekeyed = GroupView(
+            round_id=2,
+            member_ids=(0, 1),
+            public_keys={0: keys[0].public_bytes, 1: fresh.public_bytes},
+            vector_length=8,
+        )
+        mine = blinding_factors(keys[0], 0, rekeyed)
+        expected = mask_stream(shared_point(keys[0], fresh.public_bytes), 2, 8)
+        assert np.array_equal(mine, expected)
+        assert not (mine + blinding_factors(fresh, 1, rekeyed)).any()
+        assert len(keys[0]._points) == 2
+
+    def test_full_table_leaves_equality_and_hash(self):
+        a, b = keygen(42), keygen(42)
+        group = GroupView(
+            round_id=0,
+            member_ids=(0, 1, 2),
+            public_keys={0: a.public_bytes, 1: keygen(1).public_bytes, 2: keygen(2).public_bytes},
+            vector_length=4,
+        )
+        blinding_factors(a, 0, group)
+        assert len(a._points) == 2 and not b._points
+        assert a == b and hash(a) == hash(b)
+
+    def test_repr_shows_no_point(self):
+        keys, group = make_group(3, seed=4)
+        blinding_factors(keys[0], 0, group)
+        text = repr(keys[0])
+        assert keys[0]._points
+        for point in keys[0]._points.values():
+            assert point.hex() not in text and repr(point) not in text
+        assert "_points" not in text
 
 
 class TestEncrypt:

@@ -13,6 +13,7 @@ from mobagg.privagg import (
     GroupView,
     ProtocolError,
     VectorMessage,
+    blinding_factors,
     decode_announcement,
     decode_recovery_request,
     decode_vector_message,
@@ -21,6 +22,7 @@ from mobagg.privagg import (
     encode_vector_message,
     frame,
     keygen,
+    recovery_share,
     unframe,
     vector_payload_bytes,
 )
@@ -227,6 +229,24 @@ class TestHostileInput:
         header = {"type": "round", "round_id": 0, "members": [0],
                   "public_keys": {"0": "11" * 32}, "vector_length": 582 * 582}
         assert decode_announcement(frame(header)).vector_length == 338_724
+
+    @pytest.mark.parametrize("mask", [
+        pytest.param(lambda own, view: blinding_factors(own, 0, view), id="blinding_factors"),
+        pytest.param(lambda own, view: recovery_share(own, 0, view, {0, 2}), id="recovery_share"),
+    ])
+    def test_low_order_public_key_rejected(self, mask):
+        # the all-zero key decodes cleanly, but its exchange with any
+        # private key is the all-zero point, which X25519 refuses
+        rng = random.Random(3)
+        keys = {u: keygen(rng) for u in (0, 2)}
+        public = {0: keys[0].public_bytes, 1: bytes(32), 2: keys[2].public_bytes}
+        view = decode_announcement(encode_announcement(GroupView(
+            round_id=4, member_ids=(0, 1, 2), public_keys=public, vector_length=3,
+        )))
+        for _ in range(2):  # a failed exchange is not stored, so it fails again
+            with pytest.raises(ProtocolError):
+                mask(keys[0], view)
+        assert keys[0]._points == {}
 
     @settings(max_examples=300, deadline=None)
     @given(blob=st.one_of(
