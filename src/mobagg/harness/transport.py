@@ -1,10 +1,21 @@
 """Message transports for simulated rounds.
 
 The default transport never leaves the process: it hands each frame straight
-to the recipient while tallying exact byte counts per direction. A loopback
-TCP transport exists for demos; it pushes every frame through a real socket
-on 127.0.0.1 so captured traffic matches the reported sizes, but tests stay
-on the in-process bus.
+to the recipient while tallying exact byte counts per direction. The loopback
+TCP transport pushes every frame through a real socket pair on 127.0.0.1, so
+captured traffic matches the reported sizes; ``mobagg simulate --transport
+tcp``, the collect benchmark and the transport tests run over it.
+
+One thread plays both ends, so two socket details decide whether it is fast
+and whether it finishes:
+
+- Both sockets set ``TCP_NODELAY``. With Nagle's algorithm (RFC 896) on, a
+  small segment sent while an earlier one is unacknowledged waits for the
+  peer's delayed ACK, a 40 ms stall on a frame of a hundred bytes.
+- ``deliver`` echoes a frame in chunks of at most ``CHUNK`` bytes, draining
+  each chunk before it sends the next. Sending a whole large frame before
+  reading any of it blocks once the socket buffers fill (a few MB), with no
+  one left to read. The chunks land in one preallocated buffer.
 """
 
 from __future__ import annotations
@@ -13,6 +24,9 @@ import socket
 import struct
 
 _LEN = struct.Struct("<I")
+
+#: largest piece of a frame in flight at once over the TCP loopback
+CHUNK = 1 << 16
 
 #: member -> aggregator
 UPLOAD = "upload"
@@ -46,23 +60,26 @@ class TcpLoopbackTransport:
         self._client.connect(listener.getsockname())
         self._server, _ = listener.accept()
         listener.close()
+        for sock in (self._client, self._server):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def deliver(self, blob: bytes, direction: str) -> bytes:
         self.bytes_by_direction[direction] += len(blob)
-        self._client.sendall(_LEN.pack(len(blob)) + blob)
-        need = _LEN.size + len(blob)
-        chunks = []
-        while need:
-            chunk = self._server.recv(min(need, 1 << 16))
-            if not chunk:
-                raise ConnectionError("loopback peer closed early")
-            chunks.append(chunk)
-            need -= len(chunk)
-        data = b"".join(chunks)
-        (length,) = _LEN.unpack_from(data)
+        frame = memoryview(_LEN.pack(len(blob)) + blob)
+        received = memoryview(bytearray(len(frame)))
+        for start in range(0, len(frame), CHUNK):
+            end = min(start + CHUNK, len(frame))
+            self._client.sendall(frame[start:end])
+            filled = start
+            while filled < end:
+                got = self._server.recv_into(received[filled:end])
+                if not got:
+                    raise ConnectionError("loopback peer closed early")
+                filled += got
+        (length,) = _LEN.unpack_from(received)
         if length != len(blob):
             raise ConnectionError("loopback length prefix mismatch")
-        return data[_LEN.size :]
+        return bytes(received[_LEN.size :])
 
     def close(self) -> None:
         self._client.close()

@@ -38,11 +38,12 @@ class KeyPair:
 
     Built from the private half alone: the key is parsed once, here, the
     public half is derived from it, and every exchange reuses the parsed key.
-    ``_points`` maps a peer's public key bytes to the pair's shared point; it
-    is neither shown by ``repr`` nor part of equality and hashing.
+    ``repr`` shows only the public half. ``_points`` maps a peer's public key
+    bytes to the pair's shared point; it is neither shown by ``repr`` nor part
+    of equality and hashing.
     """
 
-    private_bytes: bytes
+    private_bytes: bytes = field(repr=False)
     public_bytes: bytes = field(init=False)
     _private_key: X25519PrivateKey = field(init=False, repr=False, compare=False)
     _points: dict[bytes, bytes] = field(

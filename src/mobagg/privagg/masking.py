@@ -38,7 +38,7 @@ shares and so learns its plaintext. Closing that gap needs double masking
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -61,8 +61,10 @@ class GroupView:
     """Everything a member learns about its group from the round announcement.
 
     ``member_ids`` is ascending; a member's position in that tuple is the
-    index used by the masking sign rule. ``sketch_seeds`` rides along so that
-    sketch-compressed rounds agree on hash seeds without extra messages.
+    index used by the masking sign rule, looked up in ``_positions``, which is
+    built once here and is neither shown by ``repr`` nor compared.
+    ``sketch_seeds`` rides along so that sketch-compressed rounds agree on hash
+    seeds without extra messages.
     """
 
     round_id: int
@@ -70,6 +72,7 @@ class GroupView:
     public_keys: Mapping[int, bytes]
     vector_length: int
     sketch_seeds: Tuple[Tuple[int, int], ...] | None = None
+    _positions: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.round_id < 1 << 64):
@@ -89,11 +92,12 @@ class GroupView:
         for uid, key in self.public_keys.items():
             if len(key) != KEY_BYTES:
                 raise ProtocolError(f"public key of user {uid} is not {KEY_BYTES} bytes")
+        object.__setattr__(self, "_positions", {uid: i for i, uid in enumerate(ids)})
 
     def position_of(self, user_id: int) -> int:
         try:
-            return self.member_ids.index(user_id)
-        except ValueError:
+            return self._positions[user_id]
+        except KeyError:
             raise ProtocolError(f"user {user_id} is not a group member") from None
 
 

@@ -1,6 +1,12 @@
 """Round simulation, transports, overhead reports, and the two-sided pipeline."""
 
+import csv
+import os
 import random
+import socket
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +46,7 @@ from mobagg.harness.simulate import (
 )
 from mobagg.harness.synth import seasonal_series, synthetic_counts
 from mobagg.harness.transport import (
+    CHUNK,
     DOWNLOAD,
     UPLOAD,
     InProcessTransport,
@@ -220,7 +227,69 @@ class TestSimulateRound:
         assert cfg.plain_length() == 49
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*argv, timeout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mobagg.harness.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 class TestTcpTransport:
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 4, CHUNK, CHUNK + 1])
+    def test_round_trip_at_chunk_boundaries(self, size):
+        blob = random.Random(size).randbytes(size)
+        bus = TcpLoopbackTransport()
+        try:
+            assert bus.deliver(blob, UPLOAD) == blob
+            assert bus.deliver(blob[::-1], DOWNLOAD) == blob[::-1]
+        finally:
+            bus.close()
+        assert bus.bytes_by_direction == {UPLOAD: size, DOWNLOAD: size}
+
+    def test_sixteen_mib_frame_does_not_stall(self):
+        blob = np.random.default_rng(16).bytes(16 << 20)
+        bus = TcpLoopbackTransport()
+        echoed = []
+        worker = threading.Thread(
+            target=lambda: echoed.append(bus.deliver(blob, DOWNLOAD)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=30)
+        if worker.is_alive():
+            # a stuck sendall only wakes once its socket is shut down
+            for sock in (bus._client, bus._server):
+                sock.shutdown(socket.SHUT_RDWR)
+        bus.close()
+        assert not worker.is_alive(), "16 MiB delivery still blocked after 30 s"
+        assert echoed == [blob]
+        assert bus.bytes_by_direction == {UPLOAD: 0, DOWNLOAD: 16 << 20}
+
+    def test_both_sockets_disable_nagle(self):
+        bus = TcpLoopbackTransport()
+        try:
+            for sock in (bus._client, bus._server):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            bus.close()
+
+    def test_od_cli_round_of_five_mb_frames(self, tmp_path):
+        argv = ["simulate", "--mode", "od", "--n-stations", "1100", "--users", "4",
+                "--group-size", "2", "--rounds", "1", "--transport"]
+        runs = {}
+        for transport in ("memory", "tcp"):
+            out = tmp_path / transport
+            done = run_cli("--out", str(out), *argv, transport, timeout=60)
+            assert done.returncode == 0, done.stderr
+            runs[transport] = (out / "rounds.csv").read_text()
+        assert runs["tcp"] == runs["memory"]
+        rows = list(csv.DictReader(runs["tcp"].splitlines()))
+        assert rows[0]["payload_bytes_per_member"] == str(4 * 1100 * 1100)
+
     def test_frame_echo(self):
         bus = TcpLoopbackTransport()
         try:

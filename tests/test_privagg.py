@@ -1,6 +1,7 @@
 """Pairwise masking protocol: keys, blinding, aggregation, recovery, groups."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,48 @@ class TestKeygen:
     def test_shared_point_known_answer(self):
         expected = "fc7464537c1f439a76e6bcea446208708979e02e4ef8edda569a41f1a962cb45"
         assert shared_point(keygen(1), keygen(2).public_bytes).hex() == expected
+
+    def test_repr_hides_private_key(self):
+        key = keygen(1)
+        text = repr(key)
+        assert repr(key.private_bytes) not in text
+        assert key.private_bytes.hex() not in text
+        assert "private_bytes" not in text
+        assert repr(key.public_bytes) in text
+
+
+class TestGroupView:
+    def test_position_matches_tuple_index(self):
+        _, group = make_group(7, ids=(3, 8, 11, 40, 41, 97, 1000))
+        for uid in group.member_ids:
+            assert group.position_of(uid) == group.member_ids.index(uid)
+
+    def test_non_member_rejected(self):
+        _, group = make_group(3)
+        with pytest.raises(ProtocolError, match="not a group member"):
+            group.position_of(3)
+
+    def test_repr_and_equality_cover_announced_fields_only(self):
+        _, group = make_group(3, round_id=5, length=4)
+        fields = (
+            f"round_id=5, member_ids=(0, 1, 2), public_keys={group.public_keys!r}, "
+            "vector_length=4, sketch_seeds=None"
+        )
+        assert repr(group) == f"GroupView({fields})"
+        twin = GroupView(5, (0, 1, 2), dict(group.public_keys), 4)
+        assert twin == group
+        assert replace(group, round_id=6) != group
+
+    def test_replace_rebuilds_positions(self):
+        keys, group = make_group(3, ids=(2, 5, 9))
+        keys[1] = keygen(99)
+        wider = replace(
+            group,
+            member_ids=(1, 2, 5, 9),
+            public_keys={**group.public_keys, 1: keys[1].public_bytes},
+        )
+        assert [wider.position_of(u) for u in (1, 2, 5, 9)] == [0, 1, 2, 3]
+        assert group.position_of(2) == 0
 
 
 class TestBlindingFactors:
