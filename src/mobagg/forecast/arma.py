@@ -14,6 +14,15 @@ feasible when every reflection coefficient (partial autocorrelation) of the
 AR polynomial, and of the negated MA one, lies strictly inside (-1, 1); the
 step-down recursion yields them without root finding, and the criterion is
 equivalent to all lag-polynomial roots lying outside the unit circle.
+
+The MA recursion runs through ``scipy.signal._sigtools._linear_filter``, the
+C kernel that ``scipy.signal.lfilter`` calls once its array-API wrapper has
+normalized the arguments (for a denominator longer than one). On the short
+windows fitted here that wrapper costs several times the filter itself, and
+the simplex search evaluates the objective thousands of times per fit. The
+kernel receives the same float64 arrays ``lfilter`` would hand it, so every
+float operation, and with it every fit, is unchanged; a test compares it with
+``lfilter`` bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +33,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter
+from scipy.signal._sigtools import _linear_filter
+
+_NUMERATOR = np.ones(1)
+_NUMERATOR.flags.writeable = False
 
 
 class FitError(RuntimeError):
@@ -41,7 +53,8 @@ class ArmaModel:
 
     ``residuals`` are the innovations aligned to the training series; the
     first p entries are zero by the conditioning convention. ``aic`` uses the
-    full training length n: n * ln(sigma2) + 2 * (p + q + 1).
+    full training length n: n * ln(sigma2) + 2 * (p + q + 1). ``nfev``
+    counts the simplex search's objective evaluations; OLS fits leave it 0.
     """
 
     p: int
@@ -54,6 +67,7 @@ class ArmaModel:
     loglik: float
     aic: float
     n_obs: int
+    nfev: int = 0
 
 
 def _validate_series(y: np.ndarray, p: int, q: int) -> None:
@@ -70,22 +84,32 @@ def _validate_series(y: np.ndarray, p: int, q: int) -> None:
         )
 
 
-def _innovations_tail(
-    y: np.ndarray,
-    const: float,
-    ar: np.ndarray,
-    ma: np.ndarray,
-) -> np.ndarray:
-    """Innovations eps_p .. eps_{n-1} for given coefficients."""
-    p, q = ar.size, ma.size
+def _lag_views(y: np.ndarray, p: int) -> list[np.ndarray]:
+    """Views y[p-i : n-i] for i = 1..p: lag i of y, aligned to y[p:]."""
     n = y.size
-    r = y[p:] - const
-    for i in range(1, p + 1):
-        r = r - ar[i - 1] * y[p - i : n - i]
-    if q:
+    return [y[p - i : n - i] for i in range(1, p + 1)]
+
+
+def _innovations_tail(
+    resp: np.ndarray,
+    lags: Sequence[np.ndarray],
+    const: float,
+    ar: Sequence[float],
+    den: np.ndarray,
+) -> np.ndarray:
+    """Innovations eps_p .. eps_{n-1} for given coefficients.
+
+    ``resp`` is y[p:], ``lags`` comes from ``_lag_views`` and ``den`` is the
+    MA denominator [1, theta_1, ..., theta_q].
+    """
+    r = resp - const
+    for phi, lag in zip(ar, lags):
+        r -= phi * lag
+    if den.size > 1:
         # eps_t = r_t - sum_j theta_j eps_{t-j} is an IIR filter with zero
         # initial state, which is exactly the pre-sample-zero convention.
-        r = lfilter([1.0], np.concatenate(([1.0], ma)), r)
+        # This is lfilter([1.0], den, r) without its wrapper.
+        r = _linear_filter(_NUMERATOR, den, r, -1)
     return r
 
 
@@ -96,8 +120,11 @@ def css_innovations(
     ma: np.ndarray,
 ) -> np.ndarray:
     """Innovations for given coefficients; first len(ar) entries are zero."""
+    p = ar.size
     eps = np.zeros(y.size)
-    eps[ar.size :] = _innovations_tail(y, const, ar, ma)
+    eps[p:] = _innovations_tail(
+        y[p:], _lag_views(y, p), const, ar, np.concatenate(([1.0], ma))
+    )
     return eps
 
 
@@ -119,7 +146,7 @@ def _reflections_inside(phi: list[float]) -> bool:
     return True
 
 
-def _in_identifiable_region(ar: np.ndarray, ma: np.ndarray) -> bool:
+def _in_identifiable_region(ar: Sequence[float], ma: Sequence[float]) -> bool:
     """True when the AR polynomial is stationary and the MA one invertible.
 
     Both conditions require the lag-polynomial roots to lie strictly outside
@@ -129,23 +156,21 @@ def _in_identifiable_region(ar: np.ndarray, ma: np.ndarray) -> bool:
     vectors whose in-sample innovations look small but whose forecasts
     explode.
     """
-    return _reflections_inside(ar.tolist()) and _reflections_inside((-ma).tolist())
+    return _reflections_inside(list(ar)) and _reflections_inside([-t for t in ma])
 
 
-def _ols_ar(y: np.ndarray, p: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Least-squares AR(p) fit: (const, ar coefficients, innovations tail)."""
-    n = y.size
-    X = np.empty((n - p, p + 1))
+def _ols_ar(y: np.ndarray, p: int) -> tuple[float, np.ndarray]:
+    """Least-squares AR(p) fit: (const, ar coefficients)."""
+    X = np.empty((y.size - p, p + 1))
     X[:, 0] = 1.0
-    for i in range(1, p + 1):
-        X[:, i] = y[p - i : n - i]
-    resp = y[p:]
-    coef, *_ = np.linalg.lstsq(X, resp, rcond=None)
-    return float(coef[0]), coef[1:].copy(), resp - X @ coef
+    for i, lag in enumerate(_lag_views(y, p), 1):
+        X[:, i] = lag
+    coef, *_ = np.linalg.lstsq(X, y[p:], rcond=None)
+    return float(coef[0]), coef[1:].copy()
 
 
 def _finish(y: np.ndarray, p: int, q: int, const: float, ar: np.ndarray,
-            ma: np.ndarray) -> ArmaModel:
+            ma: np.ndarray, nfev: int = 0) -> ArmaModel:
     n = y.size
     eps = css_innovations(y, const, ar, ma)
     n_eff = n - p
@@ -169,6 +194,7 @@ def _finish(y: np.ndarray, p: int, q: int, const: float, ar: np.ndarray,
         loglik=loglik,
         aic=aic,
         n_obs=n,
+        nfev=nfev,
     )
 
 
@@ -177,20 +203,29 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
     y = np.asarray(getattr(series, "values", series), dtype=np.float64)
     _validate_series(y, p, q)
 
-    const0, ar0, _ = _ols_ar(y, p)
+    const0, ar0 = _ols_ar(y, p)
     if q == 0:
         return _finish(y, p, q, const0, ar0, np.empty(0))
 
     # Shrink an (unusual) explosive OLS start back inside the feasible set.
-    while not _in_identifiable_region(ar0, np.empty(0)):
+    while not _in_identifiable_region(ar0.tolist(), ()):
         ar0 = 0.9 * ar0
     start = np.concatenate(([const0], ar0, np.zeros(q)))
 
+    resp, lags = y[p:], _lag_views(y, p)
+    den = np.ones(q + 1)
+
     def objective(params: np.ndarray) -> float:
-        ar, ma = params[1 : 1 + p], params[1 + p :]
+        # Only per-evaluation work: one tolist() feeds the feasibility test
+        # and the lag loop, and den is refilled in place. The float operations
+        # and their order are those of css_innovations, so _finish reproduces
+        # the searched SSE exactly.
+        v = params.tolist()
+        ar, ma = v[1 : 1 + p], v[1 + p :]
         if not _in_identifiable_region(ar, ma):
             return 1e300
-        r = _innovations_tail(y, params[0], ar, ma)
+        den[1:] = ma
+        r = _innovations_tail(resp, lags, v[0], ar, den)
         sse = float(r @ r)
         return sse if math.isfinite(sse) else 1e300
 
@@ -210,6 +245,7 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
         float(result.x[0]),
         np.asarray(result.x[1 : 1 + p]),
         np.asarray(result.x[1 + p :]),
+        nfev=int(result.nfev),
     )
     if not result.success:
         raise FitError(f"simplex search did not converge: {result.message}", model)

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import mobagg.forecast.arma as arma_mod
 from mobagg.forecast import ArmaModel, FitError, fit_arma, forecast_one, select_order
@@ -31,6 +32,65 @@ class TestInnovations:
         y = np.arange(10, dtype=float)
         eps = css_innovations(y, 0.0, np.array([0.3, 0.1]), np.empty(0))
         assert eps[0] == 0.0 and eps[1] == 0.0
+
+
+def lfilter_innovations(y, const, ar, ma):
+    """Reference innovations tail through the public scipy.signal.lfilter."""
+    p, n = ar.size, y.size
+    r = y[p:] - const
+    for i in range(1, p + 1):
+        r = r - ar[i - 1] * y[p - i : n - i]
+    return lfilter([1.0], np.concatenate(([1.0], ma)), r)
+
+
+def arma_series(ar, ma, n, seed, mean=5.0, burn=50):
+    """Seeded ARMA(len(ar), len(ma)) path with unit-variance innovations."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(0.0, 1.0, n + burn)
+    y = np.full(n + burn, mean)
+    for t in range(n + burn):
+        y[t] += e[t]
+        for i, phi in enumerate(ar, 1):
+            if t >= i:
+                y[t] += phi * (y[t - i] - mean)
+        for j, theta in enumerate(ma, 1):
+            if t >= j:
+                y[t] += theta * e[t - j]
+    return y[burn:]
+
+
+class TestKernelMatchesLfilter:
+    """The objective calls lfilter's private C kernel; it must match lfilter bit for bit.
+
+    Fails if SciPy renames the kernel or lets it round differently from the
+    public function, for any coefficients the simplex search may try.
+    """
+
+    @pytest.mark.parametrize("n", [50, 120])
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(1, 6))
+    @pytest.mark.parametrize("invertible", [True, False])
+    def test_bitwise_equal(self, n, p, q, invertible):
+        rng = np.random.default_rng([n, p, q, int(invertible)])
+        y = rng.normal(20.0, 4.0, n)
+        for _ in range(5):
+            roots = rng.uniform(1.2, 4.0, q) * rng.choice([-1.0, 1.0], q)
+            if not invertible:
+                roots[0] = rng.uniform(0.5, 0.95) * rng.choice([-1.0, 1.0])
+            ma = lag_coefficients(roots)
+            assert arma_mod._in_identifiable_region(np.empty(0), ma) is invertible
+            ar = rng.uniform(-0.6, 0.6, p)
+            const = float(rng.normal(0.0, 3.0))
+            expected = lfilter_innovations(y, const, ar, ma)
+            den = np.concatenate(([1.0], ma))
+            # the objective's form: Python-float coefficients, per-fit views
+            tail = arma_mod._innovations_tail(
+                y[p:], arma_mod._lag_views(y, p), const, ar.tolist(), den
+            )
+            assert np.array_equal(tail, expected)
+            eps = css_innovations(y, const, ar, ma)
+            assert np.array_equal(eps[p:], expected)
+            assert not eps[:p].any()
 
 
 def roots_outside_unit_circle(lowest_first):
@@ -177,6 +237,41 @@ class TestFitArma:
             fit_arma(y, 1, 1)
         assert isinstance(info.value.model, ArmaModel)
         assert info.value.model.p == 1 and info.value.model.q == 1
+        assert info.value.model.nfev > 0
+
+
+class TestFrozenFits:
+    """Exact bits and evaluation counts of three seeded simplex fits.
+
+    Taken while the objective still called ``scipy.signal.lfilter`` (NumPy
+    2.4, SciPy 1.17, x86-64). Any change to the float operations of the
+    objective or their order moves the search path, and with it these bits
+    or ``nfev``. The start comes from ``np.linalg.lstsq`` and the SSE from a
+    BLAS dot product, so another BLAS build may round them differently.
+    """
+
+    @pytest.mark.parametrize("true_ar, true_ma, seed, const, ar, ma, sigma2, nfev", [
+        ((0.5, -0.2, 0.1), (0.4, 0.2), 31, "0x1.64ca07ab66f64p-3",
+         ["0x1.9550e4d5a531cp+0", "-0x1.925ca1bd7d554p-1", "0x1.5ca99414766f0p-3"],
+         ["-0x1.29aeb6afdc528p-1", "-0x1.aca2929ff4046p-2"], "0x1.9974b484432d8p-1", 1444),
+        ((0.6, -0.3), (0.5,), 32, "0x1.c50cac493036ap+1",
+         ["0x1.7edd1861c5d5ep-1", "-0x1.c81f35df03a42p-2"],
+         ["0x1.d58934b54f106p-2"], "0x1.fbccdc69e71b7p-1", 313),
+        ((), (0.6, 0.3), 33, "0x1.3a97f06fb3a70p+2",
+         [],
+         ["0x1.5cb7af9f67984p-1", "0x1.6ee5c22a40cf7p-2"], "0x1.db422ba18bec9p-1", 249),
+    ])
+    def test_bits(self, true_ar, true_ma, seed, const, ar, ma, sigma2, nfev):
+        y = arma_series(true_ar, true_ma, 120, seed)
+        model = fit_arma(y, len(true_ar), len(true_ma))
+        assert float(model.const).hex() == const
+        assert [float(v).hex() for v in model.ar] == ar
+        assert [float(v).hex() for v in model.ma] == ma
+        assert float(model.sigma2).hex() == sigma2
+        assert model.nfev == nfev
+
+    def test_ols_fit_has_no_evaluations(self):
+        assert fit_arma(ar1(0.5, 200, seed=21), 2, 0).nfev == 0
 
 
 class TestSelectOrder:

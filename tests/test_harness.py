@@ -1,6 +1,7 @@
 """Round simulation, transports, overhead reports, and the two-sided pipeline."""
 
 import csv
+import hashlib
 import os
 import random
 import socket
@@ -52,6 +53,7 @@ from mobagg.harness.transport import (
     InProcessTransport,
     TcpLoopbackTransport,
 )
+from mobagg.ingest import SeriesSet
 from mobagg.privagg import (
     GroupView,
     KeyPair,
@@ -410,6 +412,28 @@ class TestPipeline:
         assert replay.helper_ids == full.helper_ids
         for key in full.paths:
             assert Path(full.paths[key]).read_bytes() == Path(replay.paths[key]).read_bytes()
+
+    def test_default_config_reports_are_frozen(self, tmp_path):
+        # Default config: AIC order selection, which picks MA orders for all
+        # three ROIs here, so every scanned day runs the simplex search. The
+        # hashes were taken while the ARMA objective still called
+        # scipy.signal.lfilter. Spike at ROI 1, day 16, 17:00.
+        synth = synthetic_counts(3, 3, np.random.default_rng(3))
+        counts = synth.counts.copy()
+        counts[1, 16 * 24 + 17] += 25
+        result = analyze_aggregates(
+            SeriesSet(counts, synth.epochs), PipelineConfig(sim=SIM), tmp_path
+        )
+        assert all(result.scans[roi].orders[1] > 0 for roi in range(3))
+        digests = {
+            key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for key, path in result.paths.items()
+        }
+        assert digests == {
+            "forecast": "5432997181e11b6f18b2a8c1ce8b351297968586819fc8895d15f6f3eb0e4e6d",
+            "anomalies": "950264b315eae938e9d2fe9ce3caae5fd1b5bc472ea8fabe4a66b3493d2d83a1",
+            "enhancement": "131546a9ebc98fd4cda205ca7b4e067da5973580d180688bda89bc43ab7e600b",
+        }
 
     def test_scan_window_validation(self):
         with pytest.raises(ValueError):
