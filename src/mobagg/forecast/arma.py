@@ -137,12 +137,13 @@ def _reflections_inside(phi: list[float]) -> bool:
     outside the unit circle exactly when every reflection coefficient lies in
     (-1, 1) (Barndorff-Nielsen & Schou 1973; Monahan 1984). A NaN fails.
     """
-    while phi:
-        a = phi[-1]
+    for k in range(len(phi) - 1, -1, -1):  # k + 1 is the current order
+        a = phi[k]
         if not abs(a) < 1.0:
             return False
-        scale = 1.0 - a * a
-        phi = [(phi[j] + a * phi[-2 - j]) / scale for j in range(len(phi) - 1)]
+        if k:
+            scale = 1.0 - a * a
+            phi = [(phi[j] + a * phi[k - 1 - j]) / scale for j in range(k)]
     return True
 
 

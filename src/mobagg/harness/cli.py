@@ -46,7 +46,7 @@ from ..ingest import (
     write_series_csv,
 )
 from ..timeseries import EpochSpec, deseasonalize, seasonal_profile
-from .pipeline import analyze_roi, enhance_roi, write_enhancement_report
+from .pipeline import analyze_rois, enhance_roi, write_enhancement_report
 from .reports import (
     format_overhead_table,
     overhead_report,
@@ -147,14 +147,13 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
     n_days = series_set.epochs.n_epochs // 24
     days = args.days if args.days is not None else n_days - args.start_day
     rois = range(series_set.n_rois) if args.roi is None else [args.roi]
-    events = []
-    for roi in rois:
-        events.extend(analyze_roi(
-            series_set.series(roi), args.start_day, days,
-            train_days=args.train_days,
-            calibration_days=args.calibration_days,
-            orders=_orders(args.orders),
-        ).events)
+    analyses = analyze_rois(
+        [series_set.series(roi) for roi in rois], args.start_day, days,
+        train_days=args.train_days,
+        calibration_days=args.calibration_days,
+        orders=_orders(args.orders),
+    )
+    events = [e for a in analyses for e in a.events]
     ranked = rank_anomalies(events, args.keep_fraction) if events else []
     write_anomaly_report(out / "anomalies.csv", ranked)
     print(f"{len(events)} flagged slots, kept {len(ranked)} -> {out}")

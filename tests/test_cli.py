@@ -9,6 +9,7 @@ import pytest
 from numpy.random import default_rng
 
 import mobagg.harness.cli as cli_mod
+import mobagg.harness.pipeline as pipeline_mod
 from mobagg.harness.cli import main
 from mobagg.harness.pipeline import PipelineConfig, analyze_aggregates
 from mobagg.harness.simulate import OracleMismatch, SimConfig
@@ -235,6 +236,32 @@ class TestAnomaliesCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "scan_start_day needs train_days + calibration_days of history" in err
+
+    def test_pooled_report_matches_in_process(self, tmp_path, monkeypatch):
+        counts = synth_counts(3, 672, seed=4)
+        counts[1, 14 * 24 + 17] += 50
+        series = write_series(tmp_path, counts)
+        reports = []
+        for workers in (2, 1):
+            monkeypatch.setattr(pipeline_mod, "_worker_count", lambda n, w=workers: min(w, n))
+            out = tmp_path / f"workers{workers}"
+            argv = ["--out", str(out), "anomalies", "--series", str(series), "--days", "4"]
+            assert main(argv) == 0
+            reports.append((out / "anomalies.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert len(reports[0].splitlines()) >= 2
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--start-day", "3"], "scan_start_day needs train_days + calibration_days"),
+        (["--days", "0"], "the anomaly scan needs at least one day"),
+        (["--orders", "9,9"], "ARMA(9,9) cannot fit a 120-slot training window"),
+    ])
+    def test_bad_window_exits_one_with_a_pool(self, tmp_path, capsys, monkeypatch, extra, message):
+        monkeypatch.setattr(pipeline_mod, "_worker_count", lambda n: min(2, n))
+        series = write_series(tmp_path, synth_counts(3, 672))
+        code = main(["--out", str(tmp_path / "out"), "anomalies", "--series", str(series), *extra])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_unfittable_orders_exit_one(self, tmp_path, capsys):
         series = write_series(tmp_path, synth_counts(1, 672))

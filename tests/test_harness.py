@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mobagg.forecast.rolling as rolling_mod
+import mobagg.harness.pipeline as pipeline_mod
 import mobagg.harness.simulate as sim_mod
 from mobagg.forecast import (
     FitError,
@@ -27,6 +28,7 @@ from mobagg.harness.pipeline import (
     PipelineConfig,
     analyze_aggregates,
     analyze_roi,
+    analyze_rois,
     collect_aggregate_series,
     run_pipeline,
 )
@@ -379,6 +381,14 @@ class TestOverheadReport:
 SIM = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=2, seed=3)
 
 
+def spiked_counts() -> SeriesSet:
+    """Three ROIs over three weeks with a spike at ROI 1, day 16, 17:00."""
+    synth = synthetic_counts(3, 3, np.random.default_rng(3))
+    counts = synth.counts.copy()
+    counts[1, 16 * 24 + 17] += 25
+    return SeriesSet(counts, synth.epochs)
+
+
 class TestPipeline:
     def test_no_dropout_collection_recovers_targets_exactly(self):
         targets = synthetic_counts(4, 2, np.random.default_rng(3), max_count=8)
@@ -417,13 +427,8 @@ class TestPipeline:
         # Default config: AIC order selection, which picks MA orders for all
         # three ROIs here, so every scanned day runs the simplex search. The
         # hashes were taken while the ARMA objective still called
-        # scipy.signal.lfilter. Spike at ROI 1, day 16, 17:00.
-        synth = synthetic_counts(3, 3, np.random.default_rng(3))
-        counts = synth.counts.copy()
-        counts[1, 16 * 24 + 17] += 25
-        result = analyze_aggregates(
-            SeriesSet(counts, synth.epochs), PipelineConfig(sim=SIM), tmp_path
-        )
+        # scipy.signal.lfilter.
+        result = analyze_aggregates(spiked_counts(), PipelineConfig(sim=SIM), tmp_path)
         assert all(result.scans[roi].orders[1] > 0 for roi in range(3))
         digests = {
             key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -509,3 +514,118 @@ class TestAnalyzeRoi:
             analyze_roi(series, 11, 4)
         with pytest.raises(ValueError):
             analyze_roi(series, 12, 0)
+
+
+def two_workers(n_rois):
+    return min(2, n_rois)
+
+
+def one_worker(n_rois):
+    return 1
+
+
+class TestAnalyzeRois:
+    """The pooled map over ROIs equals the in-process loop bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        return spiked_counts()
+
+    @pytest.fixture(scope="class")
+    def both_paths(self, counts):
+        series = [counts.series(r) for r in range(counts.n_rois)]
+        runs = []
+        for workers in (two_workers, one_worker):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline_mod, "_worker_count", workers)
+                runs.append(analyze_rois(series, 12, 9))
+        return runs
+
+    def test_every_roi_is_bit_identical(self, both_paths):
+        pooled, local = both_paths
+        assert [a.scan.roi_id for a in pooled] == [0, 1, 2]
+        assert any(a.events for a in pooled)
+        for a, b in zip(pooled, local, strict=True):
+            assert_same_scan(a.scan, b.scan)
+            assert np.array_equal([a.mu, a.sigma], [b.mu, b.sigma])
+            assert a.events == b.events
+            assert np.array_equal(a.deseasonalized.values, b.deseasonalized.values)
+            assert a.seconds > 0 and b.seconds > 0
+
+    def test_reports_are_byte_identical(self, counts, tmp_path, monkeypatch):
+        paths = []
+        for workers in (two_workers, one_worker):
+            monkeypatch.setattr(pipeline_mod, "_worker_count", workers)
+            out = tmp_path / workers.__name__
+            paths.append(analyze_aggregates(counts, PipelineConfig(sim=SIM), out).paths)
+        pooled, local = paths
+        for key in ("forecast", "anomalies", "enhancement"):
+            assert pooled[key].read_bytes() == local[key].read_bytes()
+
+    def test_worker_error_reaches_the_caller(self, counts, tmp_path, monkeypatch):
+        scan = pipeline_mod.rolling_scan
+
+        def broken(series, *args, **kwargs):
+            if series.roi_id == 1:
+                raise ValueError(f"roi 1 failed in process {os.getpid()}")
+            return scan(series, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "rolling_scan", broken)
+        monkeypatch.setattr(pipeline_mod, "_worker_count", two_workers)
+        config = PipelineConfig(sim=SIM, arma_orders=(1, 0))
+        with pytest.raises(ValueError, match="roi 1 failed in process") as info:
+            analyze_aggregates(counts, config, tmp_path)
+        assert type(info.value) is ValueError
+        assert int(str(info.value).split()[-1]) != os.getpid()
+
+    def test_fit_failures_fall_back_through_the_pool(self, counts, monkeypatch):
+        # fork hands the patched fit_arma to the workers
+        series = [counts.series(r) for r in range(counts.n_rois)]
+        d = deseasonalize(series[2], seasonal_profile(series[2], truncate=True)).values
+        failing = d[(14 - 5) * 24 : 14 * 24]  # training window of scan day 14
+        fit = rolling_mod.fit_arma
+
+        def flaky(window, p, q):
+            if np.array_equal(window, failing):
+                raise FitError("forced")
+            return fit(window, p, q)
+
+        monkeypatch.setattr(rolling_mod, "fit_arma", flaky)
+        runs = []
+        for workers in (two_workers, one_worker):
+            monkeypatch.setattr(pipeline_mod, "_worker_count", workers)
+            runs.append(analyze_rois(series, 12, 9, orders=(1, 0)))
+        pooled, local = runs
+        day14 = tuple(range(14 * 24, 15 * 24))
+        assert [a.scan.fallback_epochs for a in pooled] == [(), (), day14]
+        for a, b in zip(pooled, local, strict=True):
+            assert_same_scan(a.scan, b.scan)
+
+    def test_window_is_checked_before_any_fork(self, counts, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pipeline_mod, "_worker_count", two_workers)
+        series = [counts.series(r) for r in range(counts.n_rois)]
+        with pytest.raises(ValueError, match="train_days \\+ calibration_days"):
+            analyze_rois(series, 11, 4)
+        with pytest.raises(ValueError, match="at least one day"):
+            analyze_rois(series, 12, 0)
+
+    def test_one_worker_per_cpu_at_most_one_per_roi(self):
+        assert threading.active_count() == 1
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert pipeline_mod._worker_count(1) == 1
+        assert pipeline_mod._worker_count(1000) == cpus
+
+    def test_no_fork_while_another_thread_runs(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,), daemon=True)
+        other.start()
+        try:
+            assert pipeline_mod._worker_count(1000) == 1
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
