@@ -5,12 +5,7 @@ from .arma import ArmaModel, FitError, css_innovations, fit_arma, forecast_one, 
 from .correlate import CorrelationResult, average_ranks, correlated_rois, spearman
 from .enhanced import EnhancedForecast, enhanced_forecast
 from .reports import write_anomaly_report, write_forecast_report, write_model_dump
-from .rolling import (
-    RollingForecast,
-    calibrate_residuals,
-    rolling_forecast,
-    rolling_scan,
-)
+from .rolling import RollingForecast, rolling_scan
 from .var import CollinearInputs, VarModel, fit_var, forecast_var, lagged_design
 
 __all__ = [
@@ -23,7 +18,6 @@ __all__ = [
     "RollingForecast",
     "VarModel",
     "average_ranks",
-    "calibrate_residuals",
     "correlated_rois",
     "css_innovations",
     "detect_anomalies",
@@ -34,7 +28,6 @@ __all__ = [
     "forecast_var",
     "lagged_design",
     "rank_anomalies",
-    "rolling_forecast",
     "rolling_scan",
     "select_order",
     "spearman",

@@ -255,12 +255,15 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
 
 def select_order(
     series: Sequence[float] | np.ndarray,
-    max_p: int = 5,
-    max_q: int = 5,
+    max_p: int = 3,
+    max_q: int = 2,
 ) -> Tuple[int, int]:
     """Pick (p, q) over the grid by AIC; ties prefer fewer, then more AR, terms.
 
-    The series must satisfy the fit precondition for the largest candidate.
+    The default grid, ARMA(<=3, <=2), is the analytics' one budget: hourly
+    count series rarely justify more structure, and a larger grid is slow
+    at scale. The series must satisfy the fit precondition for the largest
+    candidate.
     Candidates whose fit fails are skipped; if every candidate fails the
     error from the last failure is raised.
     """

@@ -22,7 +22,7 @@ from ..timeseries import (
     deseasonalize,
     forecast_errors,
 )
-from .arma import FitError, fit_arma, forecast_one, select_order
+from .arma import ArmaModel, FitError, fit_arma, forecast_one
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,9 @@ class RollingForecast:
     """One-step predictions over consecutive scanned days for one ROI.
 
     ``residuals`` are signed (actual - predicted) and out-of-sample, which
-    is what anomaly thresholds need, see calibrate_residuals.
-    ``fallback_epochs`` lists the slots of days whose fit failed.
+    is what anomaly thresholds need, see ``harness.pipeline.analyze_roi``.
+    ``models`` holds each scanned day's fitted model, None where the fit
+    failed; ``fallback_epochs`` lists the slots of those days.
     """
 
     roi_id: int
@@ -42,6 +43,7 @@ class RollingForecast:
     errors: ForecastErrors
     orders: Tuple[int, int]
     fallback_epochs: Tuple[int, ...]
+    models: Tuple[ArmaModel | None, ...]
 
     def days(self, first_day: int, n_days: int, epochs_per_day: int = 24) -> RollingForecast:
         """The slots of ``n_days`` days from ``first_day``, as if scanned alone."""
@@ -50,6 +52,7 @@ class RollingForecast:
         if n_days < 1 or i0 < 0 or i0 + hi - lo > len(self.epoch_indices):
             raise ValueError(f"days {first_day}..{first_day + n_days - 1} are outside the scan")
         window = slice(i0, i0 + hi - lo)
+        day0 = i0 // epochs_per_day
         actuals = self.actuals[window]
         predictions = self.predictions[window]
         return replace(
@@ -60,6 +63,7 @@ class RollingForecast:
             residuals=self.residuals[window],
             errors=forecast_errors(actuals, predictions),
             fallback_epochs=tuple(t for t in self.fallback_epochs if lo <= t < hi),
+            models=self.models[day0 : day0 + n_days],
         )
 
 
@@ -68,19 +72,18 @@ def rolling_scan(
     profile: SeasonalProfile | None,
     start_day: int,
     n_days: int,
+    orders: Tuple[int, int],
     train_days: int = 5,
-    orders: Tuple[int, int] | None = None,
     epochs_per_day: int = 24,
 ) -> RollingForecast:
     """Scan ``n_days`` consecutive days starting at ``start_day``.
 
     With a profile the model runs on de-seasonalized values and predictions
     are re-seasonalized; without one it runs on the raw series (the black-box
-    baseline). ``orders`` defaults to an AIC selection on the first training
-    window; orders no training window can fit raise ``ValueError``. A day
-    whose fit fails falls back to the seasonal mean (zero in de-seasonalized
-    space, the window mean in raw space) and its slots are flagged rather
-    than raised.
+    baseline). Every day is fitted at ``orders``; orders no training window
+    can fit raise ``ValueError``. A day whose fit fails falls back to the
+    seasonal mean (zero in de-seasonalized space, the window mean in raw
+    space) and its slots are flagged rather than raised.
     """
     epd = epochs_per_day
     if train_days < 1 or n_days < 1:
@@ -99,9 +102,6 @@ def rolling_scan(
         d = series.values
     seasonal = series.values - d
 
-    if orders is None:
-        first = d[(start_day - train_days) * epd : start_day * epd]
-        orders = select_order(first)
     p, q = orders
     # checked once: the day loop below takes fit_arma's ValueError for a failed fit
     if p < 0 or q < 0 or 10 * (p + q + 1) > train_days * epd:
@@ -110,6 +110,7 @@ def rolling_scan(
     predictions: list[float] = []
     residuals: list[float] = []
     fallback: list[int] = []
+    models: list[ArmaModel | None] = []
 
     for day in range(start_day, start_day + n_days):
         w0 = (day - train_days) * epd
@@ -119,6 +120,7 @@ def rolling_scan(
             model = fit_arma(window, p, q)
         except (FitError, ValueError, np.linalg.LinAlgError):
             model = None
+        models.append(model)
 
         history = list(window)
         innovations = list(model.residuals) if model is not None else []
@@ -146,55 +148,5 @@ def rolling_scan(
         errors=forecast_errors(actuals, preds),
         orders=(p, q),
         fallback_epochs=tuple(fallback),
-    )
-
-
-def calibrate_residuals(
-    series: RoiTimeSeries,
-    profile: SeasonalProfile | None,
-    end_day: int,
-    train_days: int = 5,
-    calibration_days: int = 7,
-    orders: Tuple[int, int] | None = None,
-    epochs_per_day: int = 24,
-) -> Tuple[float, float]:
-    """(mu, sigma) of one-step forecast errors over the week before end_day.
-
-    Thresholds must come from out-of-sample errors: in-sample innovations
-    understate the error scale (fitted parameters absorb part of it, and so
-    does an estimated seasonal profile), which makes a 3-sigma band fire far
-    too often. Scanning the calibration window with the same forecaster that
-    will scan the test window measures the right distribution.
-    """
-    if calibration_days < 1:
-        raise ValueError("calibration_days must be >= 1")
-    scan = rolling_scan(
-        series,
-        profile,
-        start_day=end_day - calibration_days,
-        n_days=calibration_days,
-        train_days=train_days,
-        orders=orders,
-        epochs_per_day=epochs_per_day,
-    )
-    return float(scan.residuals.mean()), float(scan.residuals.std())
-
-
-def rolling_forecast(
-    series: RoiTimeSeries,
-    profile: SeasonalProfile | None,
-    test_day: int,
-    train_days: int = 5,
-    orders: Tuple[int, int] | None = None,
-    epochs_per_day: int = 24,
-) -> RollingForecast:
-    """Forecast a single test day; see rolling_scan."""
-    return rolling_scan(
-        series,
-        profile,
-        start_day=test_day,
-        n_days=1,
-        train_days=train_days,
-        orders=orders,
-        epochs_per_day=epochs_per_day,
+        models=tuple(models),
     )

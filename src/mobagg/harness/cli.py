@@ -27,9 +27,7 @@ import numpy as np
 from .. import sketch as cms
 from ..forecast import (
     FitError,
-    fit_arma,
     rank_anomalies,
-    rolling_forecast,
     rolling_scan,
     write_anomaly_report,
     write_forecast_report,
@@ -46,7 +44,7 @@ from ..ingest import (
     write_series_csv,
 )
 from ..timeseries import EpochSpec, deseasonalize, seasonal_profile
-from .pipeline import analyze_rois, enhance_roi, write_enhancement_report
+from .pipeline import aic_orders, analyze_rois, enhance_roi, write_enhancement_report
 from .reports import (
     format_overhead_table,
     overhead_report,
@@ -73,8 +71,18 @@ def _load_series(args: argparse.Namespace):
 def _orders(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
-    p, q = (int(part) for part in text.split(","))
+    try:
+        p, q = (int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError("--orders must be p,q") from None
     return p, q
+
+
+def _orders_help(day: str) -> str:
+    return (
+        "p,q (default: AIC over ARMA(<=3, <=2) on the --train-days window "
+        f"before the {day})"
+    )
 
 
 # --- subcommand bodies ---
@@ -121,19 +129,20 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     profile = None if args.raw else seasonal_profile(series, truncate=True)
     n_days = series_set.epochs.n_epochs // 24
     test_day = args.test_day if args.test_day is not None else n_days - 1
-    fc = rolling_forecast(
-        series, profile, test_day,
-        train_days=args.train_days, orders=_orders(args.orders),
-    )
+    orders = _orders(args.orders)
+    if orders is None:
+        d = series.values if profile is None else deseasonalize(series, profile).values
+        orders = aic_orders(d, test_day, args.train_days)
+    fc = rolling_scan(series, profile, test_day, 1, orders, train_days=args.train_days)
     rows = [
         (args.roi, int(e), float(a), float(p))
         for e, a, p in zip(fc.epoch_indices, fc.actuals, fc.predictions)
     ]
     write_forecast_report(out / "forecast.csv", rows)
-    # refit the final training window so the dump matches what forecasted
-    d = series.values if profile is None else deseasonalize(series, profile).values
-    window = d[(test_day - args.train_days) * 24 : test_day * 24]
-    write_model_dump(out / "model.json", fit_arma(window, *fc.orders))
+    (model,) = fc.models
+    if model is None:
+        raise FitError("ARMA(%d,%d) could not be fitted for day %d" % (*fc.orders, test_day))
+    write_model_dump(out / "model.json", model)
     print(
         f"roi {args.roi} day {test_day}: orders {fc.orders}, "
         f"MAE {fc.errors.mean:.4f} -> {out}"
@@ -171,9 +180,11 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     d_all = [deseasonalize(s, p) for s, p in zip(every, profiles)]
     n_days = series_set.epochs.n_epochs // 24
     test_day = args.test_day if args.test_day is not None else n_days - 1
+    orders = _orders(args.orders)
+    if orders is None:
+        orders = aic_orders(d_all[args.target].values, test_day, args.train_days)
     baseline = rolling_scan(
-        target, profiles[args.target], test_day, 1,
-        train_days=args.train_days, orders=_orders(args.orders),
+        target, profiles[args.target], test_day, 1, orders, train_days=args.train_days,
     )
     enh, helper_ids = enhance_roi(
         d_all, baseline, train_days=args.train_days, top_k=args.top_k, max_lag=args.max_lag,
@@ -298,7 +309,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--roi", type=int, required=True)
     p.add_argument("--test-day", type=int, default=None)
     p.add_argument("--train-days", type=int, default=5)
-    p.add_argument("--orders", type=str, default=None, help="p,q (default: AIC)")
+    p.add_argument("--orders", type=str, default=None, help=_orders_help("test day"))
     p.add_argument("--raw", action="store_true", help="skip the seasonal profile")
     p.set_defaults(func=cmd_forecast)
 
@@ -311,7 +322,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--train-days", type=int, default=5)
     p.add_argument("--calibration-days", type=int, default=7)
     p.add_argument("--keep-fraction", type=float, default=0.10)
-    p.add_argument("--orders", type=str, default=None)
+    p.add_argument("--orders", type=str, default=None, help=_orders_help("--start-day"))
     p.set_defaults(func=cmd_anomalies)
 
     p = sub.add_parser("enhance", help="helper-assisted forecast for one ROI")
@@ -322,7 +333,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--train-days", type=int, default=5)
     p.add_argument("--top-k", type=int, default=2)
     p.add_argument("--max-lag", type=int, default=1)
-    p.add_argument("--orders", type=str, default=None)
+    p.add_argument("--orders", type=str, default=None, help=_orders_help("test day"))
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("simulate", help="run aggregation rounds and report overhead")

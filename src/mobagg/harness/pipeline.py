@@ -49,9 +49,6 @@ from .synth import synthetic_counts
 from .transport import InProcessTransport
 
 EPOCHS_PER_DAY = 24
-# order-selection budget when no orders are given; hourly count series
-# rarely justify more structure, and the full grid is slow at scale
-MAX_P, MAX_Q = 3, 2
 
 
 def _check_scan_window(scan_start_day: int, train_days: int, calibration_days: int) -> None:
@@ -147,6 +144,20 @@ class RoiAnalysis:
     seconds: float = field(compare=False)
 
 
+def aic_orders(values: np.ndarray, day: int, train_days: int = 5) -> tuple[int, int]:
+    """The ARMA orders for a scan from ``day`` when none are given.
+
+    This is the one order-selection rule of the analytics: AIC over
+    ``select_order``'s default grid, ARMA(<=3, <=2), on the ``train_days``
+    training window before ``day``. ``values`` are what the scan fits:
+    de-seasonalized counts, or raw ones for a black-box forecast.
+    """
+    lo, hi = (day - train_days) * EPOCHS_PER_DAY, day * EPOCHS_PER_DAY
+    if lo < 0 or hi > len(values):
+        raise ValueError(f"the {train_days}-day window before day {day} is outside the series")
+    return select_order(values[lo:hi])
+
+
 def analyze_roi(
     series: RoiTimeSeries,
     start_day: int,
@@ -157,10 +168,15 @@ def analyze_roi(
 ) -> RoiAnalysis:
     """Scan ``n_days`` days from ``start_day`` against a calibrated band.
 
-    Orders default to an AIC selection on the training window before the
-    anomaly scan and stay frozen for every day of the one rolling scan.
-    Reads nothing but its arguments, so ``analyze_rois`` can run it in a
-    worker process; ``seconds`` on the result times this call there.
+    The band's (mu, sigma) come from the ``calibration_days`` before
+    ``start_day``, scanned by the same rolling forecaster. Thresholds must
+    come from out-of-sample errors: in-sample innovations understate the
+    error scale (fitted parameters absorb part of it, and so does an
+    estimated seasonal profile), which makes a 3-sigma band fire far too
+    often. Orders default to ``aic_orders`` at ``start_day`` and stay frozen
+    for every day of the one rolling scan. Reads nothing but its arguments,
+    so ``analyze_rois`` can run it in a worker process; ``seconds`` on the
+    result times this call there.
     """
     t0 = time.perf_counter()
     _check_scan_window(start_day, train_days, calibration_days)
@@ -169,12 +185,10 @@ def analyze_roi(
     profile = seasonal_profile(series, truncate=True)
     deseasonalized = deseasonalize(series, profile)
     if orders is None:
-        w1 = start_day * EPOCHS_PER_DAY
-        window = deseasonalized.values[w1 - train_days * EPOCHS_PER_DAY : w1]
-        orders = select_order(window, MAX_P, MAX_Q)
+        orders = aic_orders(deseasonalized.values, start_day, train_days)
     scan = rolling_scan(
         series, profile, start_day - calibration_days, calibration_days + n_days,
-        train_days=train_days, orders=orders,
+        orders, train_days=train_days,
     )
     split = calibration_days * EPOCHS_PER_DAY
     calibration = scan.residuals[:split]

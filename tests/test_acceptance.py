@@ -13,18 +13,10 @@ import pytest
 from numpy.random import default_rng
 
 from mobagg import sketch as cms
-from mobagg.forecast import (
-    calibrate_residuals,
-    detect_anomalies,
-    enhanced_forecast,
-    fit_arma,
-    rolling_forecast,
-    rolling_scan,
-    select_order,
-)
+from mobagg.forecast import enhanced_forecast, fit_arma, rolling_scan, select_order
 from mobagg.forecast.correlate import average_ranks, spearman
 from mobagg.forecast.var import fit_var
-from mobagg.harness.pipeline import PipelineConfig, run_pipeline
+from mobagg.harness.pipeline import PipelineConfig, aic_orders, analyze_roi, run_pipeline
 from mobagg.harness.simulate import SimConfig
 from mobagg.harness.synth import correlated_pair, seasonal_series
 from mobagg.privagg import (
@@ -193,13 +185,9 @@ def test_criterion_06_forecast_method_ordering(record_property):
         series = seasonal_series(0, 4, default_rng(seed), phi=0.6, sigma=6.0)
         profile = seasonal_profile(series, truncate=True)
         d = deseasonalize(series, profile).values
-        window = slice(480, 600)  # the 5 training days before day 25
-        des = rolling_forecast(
-            series, profile, 25, orders=select_order(d[window], 3, 2)
-        )
-        raw = rolling_forecast(
-            series, None, 25, orders=select_order(series.values[window], 3, 2)
-        )
+        # each method picks its orders on the 5 training days before day 25
+        des = rolling_scan(series, profile, 25, 1, aic_orders(d, 25))
+        raw = rolling_scan(series, None, 25, 1, aic_orders(series.values, 25))
         des_maes.append(des.errors.mean)
         raw_maes.append(raw.errors.mean)
     elapsed = time.perf_counter() - start
@@ -228,16 +216,7 @@ def test_criterion_07_anomaly_recall_and_rate(record_property):
             0, weeks, default_rng(seed), phi=0.6, sigma=6.0,
             impulses={p: 36.0 for p in positions},
         )
-
-        profile = seasonal_profile(series, truncate=True)
-        d = deseasonalize(series, profile).values
-        orders = select_order(d[scan_lo - 120 : scan_lo], 3, 2)
-        mu, sigma = calibrate_residuals(series, profile, start_day, orders=orders)
-        scan = rolling_scan(series, profile, start_day, n_days, orders=orders)
-        events = detect_anomalies(
-            scan.residuals, mu, sigma,
-            roi_id=0, epoch_offset=int(scan.epoch_indices[0]),
-        )
+        events = analyze_roi(series, start_day, n_days, orders=None).events
         flagged = {e.epoch_index for e in events}
         recalls.append(sum(p in flagged for p in positions) / len(positions))
         fractions.append(len(events) / (n_days * 24))

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import mobagg.forecast.arma as arma_mod
+import mobagg.forecast.rolling as rolling_mod
 import mobagg.harness.cli as cli_mod
 import mobagg.harness.pipeline as pipeline_mod
+from mobagg.forecast import FitError, write_model_dump
 from mobagg.harness.cli import main
 from mobagg.harness.pipeline import PipelineConfig, analyze_aggregates
 from mobagg.harness.simulate import OracleMismatch, SimConfig
 from mobagg.ingest import GridSpec, SeriesSet, read_series_csv, write_series_csv
-from mobagg.timeseries import EpochSpec
+from mobagg.timeseries import EpochSpec, deseasonalize, seasonal_profile
 
 MONDAY = datetime(2016, 2, 1)  # a Monday, so day index == weekday index
 
@@ -166,6 +169,52 @@ class TestForecastCli:
         assert np.isfinite(model["aic"])
         assert "orders (1, 0)" in capsys.readouterr().out
 
+    def test_fits_the_test_day_once(self, tmp_path, monkeypatch):
+        # model.json dumps the scan's own fit of the test day, not a refit
+        path = write_series(tmp_path, synth_counts(1, 336))
+        fit = arma_mod.fit_arma
+        calls = []
+
+        def counted(window, p, q):
+            calls.append((p, q))
+            return fit(window, p, q)
+
+        for module in (arma_mod, rolling_mod, cli_mod):
+            monkeypatch.setattr(module, "fit_arma", counted, raising=False)
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "forecast", "--series", str(path), "--roi", "0",
+                "--orders", "1,0"]
+        assert main(argv) == 0
+        assert calls == [(1, 0)]
+        series = read_series_csv(path)[0].series(0)
+        d = deseasonalize(series, seasonal_profile(series, truncate=True)).values
+        expected = write_model_dump(tmp_path / "expected.json", fit(d[192:312], 1, 0))
+        assert (out / "model.json").read_bytes() == expected.read_bytes()
+
+    def test_failed_fit_exits_one(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise FitError("forced")
+
+        monkeypatch.setattr(rolling_mod, "fit_arma", broken)
+        series = write_series(tmp_path, synth_counts(1, 336))
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "forecast", "--series", str(series), "--roi", "0",
+                "--orders", "1,0"]
+        assert main(argv) == 1
+        assert "ARMA(1,0) could not be fitted for day 13" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_report_matches_the_pipeline_without_orders(self, tmp_path):
+        # with the scan starting on the last day, the pipeline picks its
+        # orders on the same window as the CLI's test day
+        series = write_series(tmp_path, synth_counts(1, 672, seed=6))
+        sim = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=1)
+        config = PipelineConfig(sim=sim, scan_start_day=27)
+        result = analyze_aggregates(read_series_csv(series)[0], config, tmp_path / "pipeline")
+        out = tmp_path / "cli"
+        assert main(["--out", str(out), "forecast", "--series", str(series), "--roi", "0"]) == 0
+        assert (out / "forecast.csv").read_bytes() == result.paths["forecast"].read_bytes()
+
     def test_roi_out_of_range_exits_one(self, tmp_path, capsys):
         series = write_series(tmp_path, synth_counts(1, 168))
         code = main(
@@ -263,14 +312,20 @@ class TestAnomaliesCli:
         assert code == 1
         assert message in capsys.readouterr().err
 
-    def test_unfittable_orders_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("orders, message", [
+        ("9,9", "ARMA(9,9) cannot fit a 120-slot training window"),
+        ("1", "--orders must be p,q"),
+        ("1,2,3", "--orders must be p,q"),
+        ("a,b", "--orders must be p,q"),
+    ], ids=["9,9", "1", "1,2,3", "a,b"])
+    def test_unfittable_orders_exit_one(self, tmp_path, capsys, orders, message):
         series = write_series(tmp_path, synth_counts(1, 672))
         code = main(
             ["--out", str(tmp_path / "out"), "anomalies", "--series", str(series),
-             "--orders", "9,9"]
+             "--orders", orders]
         )
         assert code == 1
-        assert "ARMA(9,9) cannot fit a 120-slot training window" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_out_of_range_series_row_exits_one(self, tmp_path, capsys):
         series = write_series(tmp_path, synth_counts(1, 672))
@@ -278,6 +333,9 @@ class TestAnomaliesCli:
         code = main(["--out", str(tmp_path / "out"), "anomalies", "--series", str(series)])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+
+SIM_3 = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=3)
 
 
 class TestEnhanceCli:
@@ -314,14 +372,12 @@ class TestEnhanceCli:
         assert rows[1][7] in ("0", "1")
         assert "helpers [1]" in capsys.readouterr().out
 
-    def test_report_matches_the_pipeline(self, tmp_path):
+    def check_against_pipeline(self, tmp_path, config, orders_argv):
         # the CLI and analyze_aggregates run the same enhancement path; the
-        # CLI targets the pipeline's top anomaly at the same fixed orders
+        # CLI targets the pipeline's top anomaly
         counts = synth_counts(3, 672, seed=5)
         counts[1, 16 * 24 + 9] += 50
         series = write_series(tmp_path, counts)
-        sim = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=3)
-        config = PipelineConfig(sim=sim, arma_orders=(2, 1))
         result = analyze_aggregates(read_series_csv(series)[0], config, tmp_path / "pipeline")
         top = result.anomalies[0]
         assert (top.roi_id, top.epoch_index) == (1, 16 * 24 + 9)
@@ -329,12 +385,22 @@ class TestEnhanceCli:
         code = main(
             ["--out", str(out), "enhance", "--series", str(series),
              "--target", str(top.roi_id), "--test-day", str(top.epoch_index // 24),
-             "--orders", "2,1"]
+             *orders_argv]
         )
         assert code == 0
         expected = result.paths["enhancement"].read_bytes()
         assert (out / "enhancement.csv").read_bytes() == expected
         assert len(read_rows(out / "enhancement.csv")) == 2
+
+    def test_report_matches_the_pipeline(self, tmp_path):
+        config = PipelineConfig(sim=SIM_3, arma_orders=(2, 1))
+        self.check_against_pipeline(tmp_path, config, ["--orders", "2,1"])
+
+    def test_report_matches_the_pipeline_without_orders(self, tmp_path):
+        # the scan starts on the anomaly's day, so the pipeline picks its
+        # orders on the same window as the CLI's test day
+        config = PipelineConfig(sim=SIM_3, scan_start_day=16)
+        self.check_against_pipeline(tmp_path, config, [])
 
     def test_no_usable_helper_exits_one(self, tmp_path, capsys):
         counts = synth_counts(2, 672)

@@ -16,16 +16,10 @@ import pytest
 import mobagg.forecast.rolling as rolling_mod
 import mobagg.harness.pipeline as pipeline_mod
 import mobagg.harness.simulate as sim_mod
-from mobagg.forecast import (
-    FitError,
-    calibrate_residuals,
-    detect_anomalies,
-    rolling_forecast,
-    rolling_scan,
-    select_order,
-)
+from mobagg.forecast import FitError, detect_anomalies, rolling_scan, select_order
 from mobagg.harness.pipeline import (
     PipelineConfig,
+    aic_orders,
     analyze_aggregates,
     analyze_roi,
     analyze_rois,
@@ -457,6 +451,7 @@ def assert_same_scan(a, b):
     assert a.errors.mean == b.errors.mean
     assert a.orders == b.orders
     assert a.fallback_epochs == b.fallback_epochs
+    assert [m and m.aic for m in a.models] == [m and m.aic for m in b.models]
 
 
 class TestAnalyzeRoi:
@@ -473,12 +468,13 @@ class TestAnalyzeRoi:
             d = deseasonalize(series, profile).values
             orders = select_order(d[7 * 24 : 12 * 24], 3, 2)
         assert result.scan.orders == orders
-        mu, sigma = calibrate_residuals(series, profile, 12, train_days=5,
-                                        calibration_days=7, orders=orders)
+        week = rolling_scan(series, profile, 5, 7, orders, train_days=5)
+        assert_same_scan(result.scan.days(5, 7), week)
+        mu, sigma = week.residuals.mean(), week.residuals.std()
         assert result.mu == mu and result.sigma == sigma
-        scan = rolling_scan(series, profile, 12, 4, train_days=5, orders=orders)
+        scan = rolling_scan(series, profile, 12, 4, orders, train_days=5)
         assert_same_scan(result.scan.days(12, 4), scan)
-        last = rolling_forecast(series, profile, 15, train_days=5, orders=orders)
+        last = rolling_scan(series, profile, 15, 1, orders, train_days=5)
         assert_same_scan(result.scan.days(15, 1), last)
         events = detect_anomalies(scan.residuals, mu, sigma, roi_id=0, epoch_offset=12 * 24)
         assert list(result.events) == events
@@ -514,6 +510,14 @@ class TestAnalyzeRoi:
             analyze_roi(series, 11, 4)
         with pytest.raises(ValueError):
             analyze_roi(series, 12, 0)
+
+    def test_order_window_must_lie_in_the_series(self, series):
+        d = series.values
+        assert aic_orders(d, 28) == select_order(d[23 * 24 : 28 * 24], 3, 2)
+        with pytest.raises(ValueError, match="5-day window before day 4 is outside"):
+            aic_orders(d, 4)
+        with pytest.raises(ValueError, match="5-day window before day 29 is outside"):
+            aic_orders(d, 29)
 
 
 def two_workers(n_rois):

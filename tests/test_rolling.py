@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 import mobagg.forecast.rolling as rolling_mod
-from mobagg.forecast import (
-    FitError,
-    calibrate_residuals,
-    enhanced_forecast,
-    rolling_forecast,
-    rolling_scan,
-    select_order,
-)
+from mobagg.forecast import FitError, enhanced_forecast, rolling_scan, select_order
+from mobagg.harness.pipeline import aic_orders, analyze_roi
 from mobagg.harness.synth import correlated_pair, seasonal_series
 from mobagg.timeseries import EpochSpec, RoiTimeSeries, deseasonalize, seasonal_profile
 
@@ -27,14 +21,15 @@ class TestRollingForecast:
     def test_noise_free_series_is_predicted_exactly(self):
         series = seasonal_series(0, 4, np.random.default_rng(0), phi=0.6, sigma=0.0)
         profile = seasonal_profile(series)
-        result = rolling_forecast(series, profile, test_day=25)
+        orders = aic_orders(deseasonalize(series, profile).values, 25)
+        result = rolling_scan(series, profile, 25, 1, orders)
         assert result.errors.mean == 0.0
         assert result.orders == (0, 0)
         assert result.fallback_epochs == ()
 
     def test_one_finite_prediction_per_slot(self, noisy_fixture):
         series, profile = noisy_fixture
-        result = rolling_forecast(series, profile, test_day=25, orders=(1, 0))
+        result = rolling_scan(series, profile, 25, 1, (1, 0))
         assert result.predictions.shape == (24,)
         assert np.isfinite(result.predictions).all()
         assert np.array_equal(result.epoch_indices, np.arange(600, 624))
@@ -42,8 +37,8 @@ class TestRollingForecast:
 
     def test_deseasonalizing_beats_raw_forecasting(self, noisy_fixture):
         series, profile = noisy_fixture
-        des = rolling_forecast(series, profile, 25, orders=(1, 0))
-        raw = rolling_forecast(series, None, 25, orders=(1, 0))
+        des = rolling_scan(series, profile, 25, 1, (1, 0))
+        raw = rolling_scan(series, None, 25, 1, (1, 0))
         assert des.errors.mean == pytest.approx(4.804698, abs=1e-6)  # frozen
         assert raw.errors.mean == pytest.approx(30.322704, abs=1e-6)
         assert des.errors.mean < raw.errors.mean
@@ -52,28 +47,21 @@ class TestRollingForecast:
         series, profile = noisy_fixture
         scan = rolling_scan(series, profile, start_day=20, n_days=3, orders=(1, 0))
         assert scan.predictions.shape == (72,)
-        one = rolling_forecast(series, profile, 20, orders=(1, 0))
+        one = rolling_scan(series, profile, 20, 1, (1, 0))
         assert np.allclose(scan.predictions[:24], one.predictions)
-
-    def test_given_orders_skip_selection(self, noisy_fixture, monkeypatch):
-        series, profile = noisy_fixture
-
-        def banned(*a, **k):
-            raise AssertionError("order selection must not run when orders are given")
-
-        monkeypatch.setattr(rolling_mod, "select_order", banned)
-        result = rolling_forecast(series, profile, 25, orders=(2, 1))
-        assert result.orders == (2, 1)
+        assert len(scan.models) == 3
+        assert scan.days(21, 1).models == (scan.models[1],)
+        assert scan.models[0].aic == one.models[0].aic
 
     def test_insufficient_history_rejected(self, noisy_fixture):
         series, profile = noisy_fixture
         with pytest.raises(ValueError):
-            rolling_forecast(series, profile, test_day=3, train_days=5)
+            rolling_scan(series, profile, 3, 1, (1, 0), train_days=5)
 
     def test_scan_past_series_end_rejected(self, noisy_fixture):
         series, profile = noisy_fixture
         with pytest.raises(ValueError):
-            rolling_scan(series, profile, start_day=27, n_days=2)
+            rolling_scan(series, profile, start_day=27, n_days=2, orders=(1, 0))
 
     @pytest.mark.parametrize(
         "orders, train_days",
@@ -100,8 +88,9 @@ class TestRollingForecast:
             raise FitError("forced")
 
         monkeypatch.setattr(rolling_mod, "fit_arma", broken)
-        result = rolling_forecast(series, profile, 25, orders=(1, 0))
+        result = rolling_scan(series, profile, 25, 1, (1, 0))
         assert result.fallback_epochs == tuple(range(600, 624))
+        assert result.models == (None,)
         slots = [series.epochs.slot_of(t) for t in range(600, 624)]
         seasonal = [profile.mean_at(wd, hr) for wd, hr in slots]
         assert np.allclose(result.predictions, seasonal)
@@ -113,28 +102,30 @@ class TestRollingForecast:
             raise FitError("forced")
 
         monkeypatch.setattr(rolling_mod, "fit_arma", broken)
-        result = rolling_forecast(series, None, 25, orders=(1, 0))
+        result = rolling_scan(series, None, 25, 1, (1, 0))
         window_mean = series.values[480:600].mean()
         assert np.allclose(result.predictions, window_mean)
 
 
 class TestCalibrateResiduals:
+    """The out-of-sample errors of the week before a scan, which size its band."""
+
     def test_frozen_values(self, noisy_fixture):
         series, profile = noisy_fixture
-        mu, sigma = calibrate_residuals(series, profile, 12, train_days=5,
-                                        calibration_days=7, orders=(1, 0))
+        week = rolling_scan(series, profile, 5, 7, (1, 0), train_days=5).residuals
+        mu, sigma = float(week.mean()), float(week.std())
         assert mu == pytest.approx(-0.5113, abs=1e-4)
         assert sigma == pytest.approx(5.5472, abs=1e-4)
         # the scale lands near the generator's innovation sigma of 6
         assert 4.0 < sigma < 7.5
 
     def test_window_must_fit(self, noisy_fixture):
-        series, profile = noisy_fixture
+        series, _ = noisy_fixture
         # 11 - 7 = day 4 leaves less than train_days of history
         with pytest.raises(ValueError):
-            calibrate_residuals(series, profile, 11, train_days=5, calibration_days=7)
+            analyze_roi(series, 11, 1, train_days=5, calibration_days=7, orders=(1, 0))
         with pytest.raises(ValueError):
-            calibrate_residuals(series, profile, 12, calibration_days=0)
+            analyze_roi(series, 12, 1, calibration_days=0, orders=(1, 0))
 
 
 class TestEnhancedForecast:
