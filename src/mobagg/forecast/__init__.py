@@ -4,7 +4,12 @@ from .anomaly import AnomalyEvent, detect_anomalies, rank_anomalies, thresholds
 from .arma import ArmaModel, FitError, css_innovations, fit_arma, forecast_one, select_order
 from .correlate import CorrelationResult, average_ranks, correlated_rois, spearman
 from .enhanced import EnhancedForecast, enhanced_forecast
-from .reports import write_anomaly_report, write_forecast_report, write_model_dump
+from .reports import (
+    write_anomaly_report,
+    write_enhancement_report,
+    write_forecast_report,
+    write_model_dump,
+)
 from .rolling import RollingForecast, rolling_scan
 from .var import CollinearInputs, VarModel, fit_var, forecast_var, lagged_design
 
@@ -33,6 +38,7 @@ __all__ = [
     "spearman",
     "thresholds",
     "write_anomaly_report",
+    "write_enhancement_report",
     "write_forecast_report",
     "write_model_dump",
 ]

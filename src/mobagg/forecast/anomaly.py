@@ -1,4 +1,8 @@
-"""Three-sigma residual thresholding and anomaly ranking."""
+"""Three-sigma residual thresholding and anomaly ranking.
+
+The control band is fixed at ``N_SIGMAS`` = 3 standard deviations of the
+out-of-sample residuals around their mean.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+N_SIGMAS = 3.0
+
 
 @dataclass(frozen=True)
 class AnomalyEvent:
@@ -15,7 +21,6 @@ class AnomalyEvent:
 
     roi_id: int
     epoch_index: int
-    direction: str        # which count stream was scanned: "in", "out", "combined"
     residual: float
     side: str             # "upper" (above lambda1) or "lower" (below lambda2)
     magnitude: float      # distance past the violated threshold
@@ -23,21 +28,19 @@ class AnomalyEvent:
     lambda2: float
 
 
-def thresholds(mu: float, sigma: float, n_sigmas: float = 3.0) -> tuple[float, float]:
-    """(lambda1, lambda2) = mu +- n_sigmas * sigma."""
-    return mu + n_sigmas * sigma, mu - n_sigmas * sigma
+def thresholds(mu: float, sigma: float) -> tuple[float, float]:
+    """(lambda1, lambda2) = mu +- 3 * sigma."""
+    return mu + N_SIGMAS * sigma, mu - N_SIGMAS * sigma
 
 
 def detect_anomalies(
     residuals: Sequence[float] | np.ndarray,
     mu: float,
     sigma: float,
-    n_sigmas: float = 3.0,
     roi_id: int = -1,
-    direction: str = "combined",
     epoch_offset: int = 0,
 ) -> list[AnomalyEvent]:
-    """Flag residuals outside [mu - n*sigma, mu + n*sigma].
+    """Flag residuals outside [mu - 3*sigma, mu + 3*sigma].
 
     ``epoch_offset`` maps local positions back to global epoch indices.
     With sigma = 0 the band is the single point mu, so any deviation flags;
@@ -45,7 +48,7 @@ def detect_anomalies(
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    lam1, lam2 = thresholds(mu, sigma, n_sigmas)
+    lam1, lam2 = thresholds(mu, sigma)
     events: list[AnomalyEvent] = []
     for t, value in enumerate(np.asarray(residuals, dtype=np.float64)):
         e = float(value)
@@ -59,7 +62,6 @@ def detect_anomalies(
             AnomalyEvent(
                 roi_id=roi_id,
                 epoch_index=epoch_offset + t,
-                direction=direction,
                 residual=e,
                 side=side,
                 magnitude=magnitude,

@@ -262,18 +262,22 @@ def select_order(
 
     The default grid, ARMA(<=3, <=2), is the analytics' one budget: hourly
     count series rarely justify more structure, and a larger grid is slow
-    at scale. The series must satisfy the fit precondition for the largest
-    candidate.
-    Candidates whose fit fails are skipped; if every candidate fails the
+    at scale. Candidates the series is too short for (fewer than
+    10 * (p + q + 1) observations) are skipped, as are candidates whose fit
+    fails; the series must fit ARMA(0, 0), and if every candidate fails the
     error from the last failure is raised.
     """
+    if max_p < 0 or max_q < 0:
+        raise ValueError("orders must be non-negative")
     y = np.asarray(getattr(series, "values", series), dtype=np.float64)
-    _validate_series(y, max_p, max_q)
+    _validate_series(y, 0, 0)
     best_key: tuple[float, int, int] | None = None
     best_orders: Tuple[int, int] = (0, 0)
     last_error: Exception | None = None
     for p in range(max_p + 1):
         for q in range(max_q + 1):
+            if 10 * (p + q + 1) > y.size:
+                continue
             try:
                 model = fit_arma(y, p, q)
             except (FitError, ValueError, np.linalg.LinAlgError) as exc:

@@ -1,4 +1,8 @@
-"""Forecasts enhanced with correlated helper series through a VAR model."""
+"""Forecasts enhanced with correlated helper series through a VAR model.
+
+The VAR forecasts one day of ``EPOCHS_PER_DAY`` hourly slots, and its order
+is the baseline's AR order clamped to [1, 3].
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..timeseries import ForecastErrors, RoiTimeSeries, forecast_errors
+from ..timeseries import EPOCHS_PER_DAY, ForecastErrors, RoiTimeSeries, forecast_errors
 from .rolling import RollingForecast
 from .var import CollinearInputs, fit_var, forecast_var
 
@@ -36,8 +40,6 @@ def enhanced_forecast(
     target: RoiTimeSeries,
     helpers: Sequence[RoiTimeSeries],
     train_days: int = 5,
-    var_order: int | None = None,
-    epochs_per_day: int = 24,
 ) -> EnhancedForecast:
     """One-step VAR forecasts of the baseline's day helped by peers.
 
@@ -47,11 +49,11 @@ def enhanced_forecast(
     de-seasonalized peers of its length. The VAR rolls through the day like
     the scalar forecaster (truth fed back each slot, fit frozen at the day
     boundary) and gets the baseline's seasonal offset back. The VAR order
-    defaults to the baseline's AR order clamped to [1, 3].
+    is the baseline's AR order clamped to [1, 3].
     """
     if not helpers:
         raise ValueError("enhanced forecast needs at least one helper series")
-    epd = epochs_per_day
+    epd = EPOCHS_PER_DAY
     idx = baseline.epoch_indices
     if len(idx) != epd or idx[0] % epd:
         raise ValueError(f"the baseline must cover exactly one day, it has {len(idx)} slots")
@@ -72,7 +74,7 @@ def enhanced_forecast(
         columns.append(h.values)
     data = np.column_stack(columns)
 
-    p_var = var_order if var_order is not None else max(1, min(3, baseline.orders[0]))
+    p_var = max(1, min(3, baseline.orders[0]))
 
     try:
         model = fit_var([data[w0:w1, j] for j in range(data.shape[1])], p_var)

@@ -7,8 +7,10 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ..timeseries import EPOCHS_PER_DAY
 from .anomaly import AnomalyEvent
 from .arma import ArmaModel
+from .enhanced import EnhancedForecast
 
 
 def _fmt(value: float) -> str:
@@ -33,7 +35,10 @@ def write_forecast_report(
 
 
 def write_anomaly_report(path: str | Path, ranked: Sequence[AnomalyEvent]) -> Path:
-    """Ranked events, rank 1 being the largest deviation."""
+    """Ranked events, rank 1 being the largest deviation.
+
+    The ``direction`` column holds the constant "combined".
+    """
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -46,7 +51,7 @@ def write_anomaly_report(path: str | Path, ranked: Sequence[AnomalyEvent]) -> Pa
                 [
                     event.roi_id,
                     event.epoch_index,
-                    event.direction,
+                    "combined",
                     event.side,
                     _fmt(event.residual),
                     _fmt(event.lambda1),
@@ -55,6 +60,33 @@ def write_anomaly_report(path: str | Path, ranked: Sequence[AnomalyEvent]) -> Pa
                     rank,
                 ]
             )
+    return path
+
+
+def write_enhancement_report(
+    path: str | Path,
+    enhancement: EnhancedForecast | None,
+    helper_ids: tuple[int, ...],
+) -> Path:
+    """One row for the enhanced forecast, or the header alone without one."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["target_roi", "helpers", "test_day", "var_order",
+             "baseline_mae", "enhanced_mae", "improvement", "fell_back"]
+        )
+        if enhancement is not None:
+            writer.writerow([
+                enhancement.roi_id,
+                ";".join(str(h) for h in helper_ids),
+                int(enhancement.baseline.epoch_indices[0]) // EPOCHS_PER_DAY,
+                enhancement.var_order,
+                _fmt(enhancement.baseline.errors.mean),
+                _fmt(enhancement.errors.mean),
+                _fmt(enhancement.improvement),
+                int(enhancement.fell_back),
+            ])
     return path
 
 

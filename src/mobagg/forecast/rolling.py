@@ -1,9 +1,10 @@
 """Rolling one-step-ahead forecasts over a de-seasonalized window.
 
-The forecaster works a day at a time: refit on the trailing training window
-at the day boundary, then walk the day's slots predicting one step ahead and
-feeding the true observation back in before the next slot. Predictions are
-re-seasonalized before scoring, so errors are in observed-count units.
+The forecaster works a day (``EPOCHS_PER_DAY`` hourly slots) at a time:
+refit on the trailing training window at the day boundary, then walk the
+day's slots predicting one step ahead and feeding the true observation back
+in before the next slot. Predictions are re-seasonalized before scoring, so
+errors are in observed-count units.
 Each day depends only on its own training window, so any run of days can be
 taken out of a longer scan (``RollingForecast.days``) unchanged.
 """
@@ -16,6 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from ..timeseries import (
+    EPOCHS_PER_DAY,
     ForecastErrors,
     RoiTimeSeries,
     SeasonalProfile,
@@ -45,14 +47,14 @@ class RollingForecast:
     fallback_epochs: Tuple[int, ...]
     models: Tuple[ArmaModel | None, ...]
 
-    def days(self, first_day: int, n_days: int, epochs_per_day: int = 24) -> RollingForecast:
+    def days(self, first_day: int, n_days: int) -> RollingForecast:
         """The slots of ``n_days`` days from ``first_day``, as if scanned alone."""
-        lo, hi = first_day * epochs_per_day, (first_day + n_days) * epochs_per_day
+        lo, hi = first_day * EPOCHS_PER_DAY, (first_day + n_days) * EPOCHS_PER_DAY
         i0 = lo - int(self.epoch_indices[0])
         if n_days < 1 or i0 < 0 or i0 + hi - lo > len(self.epoch_indices):
             raise ValueError(f"days {first_day}..{first_day + n_days - 1} are outside the scan")
         window = slice(i0, i0 + hi - lo)
-        day0 = i0 // epochs_per_day
+        day0 = i0 // EPOCHS_PER_DAY
         actuals = self.actuals[window]
         predictions = self.predictions[window]
         return replace(
@@ -74,7 +76,6 @@ def rolling_scan(
     n_days: int,
     orders: Tuple[int, int],
     train_days: int = 5,
-    epochs_per_day: int = 24,
 ) -> RollingForecast:
     """Scan ``n_days`` consecutive days starting at ``start_day``.
 
@@ -85,7 +86,7 @@ def rolling_scan(
     seasonal mean (zero in de-seasonalized space, the window mean in raw
     space) and its slots are flagged rather than raised.
     """
-    epd = epochs_per_day
+    epd = EPOCHS_PER_DAY
     if train_days < 1 or n_days < 1:
         raise ValueError("train_days and n_days must be >= 1")
     if start_day < train_days:

@@ -26,13 +26,7 @@ from .simulate import (
     simulate_round,
     synthesize_users,
 )
-from .synth import (
-    ar1_noise,
-    commuter_pattern,
-    correlated_pair,
-    seasonal_series,
-    synthetic_counts,
-)
+from .synth import ar1_noise, commuter_pattern, synthetic_counts
 from .transport import DOWNLOAD, UPLOAD, InProcessTransport, TcpLoopbackTransport
 
 __all__ = [
@@ -53,11 +47,9 @@ __all__ = [
     "ar1_noise",
     "collect_aggregate_series",
     "commuter_pattern",
-    "correlated_pair",
     "format_overhead_table",
     "overhead_report",
     "run_pipeline",
-    "seasonal_series",
     "setup_users",
     "simulate_round",
     "synthesize_users",

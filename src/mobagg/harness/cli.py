@@ -43,7 +43,7 @@ from ..ingest import (
     station_series,
     write_series_csv,
 )
-from ..timeseries import EpochSpec, deseasonalize, seasonal_profile
+from ..timeseries import EPOCHS_PER_DAY, EpochSpec, deseasonalize, seasonal_profile
 from .pipeline import aic_orders, analyze_rois, enhance_roi, write_enhancement_report
 from .reports import (
     format_overhead_table,
@@ -127,7 +127,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     series_set = _load_series(args)
     series = series_set.series(args.roi)
     profile = None if args.raw else seasonal_profile(series, truncate=True)
-    n_days = series_set.epochs.n_epochs // 24
+    n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     test_day = args.test_day if args.test_day is not None else n_days - 1
     orders = _orders(args.orders)
     if orders is None:
@@ -153,7 +153,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def cmd_anomalies(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     series_set = _load_series(args)
-    n_days = series_set.epochs.n_epochs // 24
+    n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     days = args.days if args.days is not None else n_days - args.start_day
     rois = range(series_set.n_rois) if args.roi is None else [args.roi]
     analyses = analyze_rois(
@@ -178,7 +178,7 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     every = [series_set.series(r) for r in range(series_set.n_rois)]
     profiles = [seasonal_profile(s, truncate=True) for s in every]
     d_all = [deseasonalize(s, p) for s, p in zip(every, profiles)]
-    n_days = series_set.epochs.n_epochs // 24
+    n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     test_day = args.test_day if args.test_day is not None else n_days - 1
     orders = _orders(args.orders)
     if orders is None:

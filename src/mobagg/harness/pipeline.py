@@ -9,7 +9,6 @@ seam.
 
 from __future__ import annotations
 
-import csv
 import multiprocessing
 import os
 import random
@@ -34,10 +33,12 @@ from ..forecast import (
     rolling_scan,
     select_order,
     write_anomaly_report,
+    write_enhancement_report,
     write_forecast_report,
 )
 from ..ingest import SeriesSet
 from ..timeseries import (
+    EPOCHS_PER_DAY,
     RoiTimeSeries,
     SeasonalProfile,
     adf_stationary,
@@ -47,8 +48,6 @@ from ..timeseries import (
 from .simulate import RoundReport, SimConfig, setup_users, simulate_round, synthesize_users
 from .synth import synthetic_counts
 from .transport import InProcessTransport
-
-EPOCHS_PER_DAY = 24
 
 
 def _check_scan_window(scan_start_day: int, train_days: int, calibration_days: int) -> None:
@@ -337,31 +336,6 @@ def analyze_aggregates(
         helper_ids=helper_ids,
         paths=paths,
     )
-
-
-def write_enhancement_report(
-    path: Path,
-    enhancement: EnhancedForecast | None,
-    helper_ids: tuple[int, ...],
-) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["target_roi", "helpers", "test_day", "var_order",
-             "baseline_mae", "enhanced_mae", "improvement", "fell_back"]
-        )
-        if enhancement is not None:
-            writer.writerow([
-                enhancement.roi_id,
-                ";".join(str(h) for h in helper_ids),
-                int(enhancement.baseline.epoch_indices[0]) // EPOCHS_PER_DAY,
-                enhancement.var_order,
-                "%.10g" % enhancement.baseline.errors.mean,
-                "%.10g" % enhancement.errors.mean,
-                "%.10g" % enhancement.improvement,
-                int(enhancement.fell_back),
-            ])
-    return path
 
 
 def run_pipeline(

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -151,21 +151,20 @@ def _reader(source: str | Path | IO[str] | Iterable[str]):
     return source, False
 
 
-def _parse_rows(source, required, build, strict, schema=None):
+def _parse_rows(source, required, build, strict):
     stream, owned = _reader(source)
     try:
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise ParseFailure(0, "empty input")
-        colmap = {f: (schema or {}).get(f, f) for f in required}
-        missing = [c for c in colmap.values() if c not in reader.fieldnames]
+        missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise ParseFailure(1, f"missing columns: {', '.join(missing)}")
         result = ParseResult(records=[])
         for row in reader:
             line = reader.line_num
             try:
-                rec = build(row, colmap)
+                rec = build(row)
             except (ValueError, KeyError, TypeError) as exc:
                 if strict:
                     raise ParseFailure(line, str(exc)) from exc
@@ -181,53 +180,49 @@ def _parse_rows(source, required, build, strict, schema=None):
 
 def parse_trips(
     source: str | Path | IO[str] | Iterable[str],
-    schema: Mapping[str, str] | None = None,
     strict: bool = False,
     exclude_modes: Sequence[str] = (),
 ) -> ParseResult:
     """Parse a trip CSV (card_id,start_time,start_station,end_time,end_station).
 
-    ``schema`` remaps canonical field names to this file's column names. A
-    ``mode`` column is honored when present; rows whose mode appears in
+    A ``mode`` column is honored when present; rows whose mode appears in
     ``exclude_modes`` are silently skipped (not errors).
     """
     excluded = {m.strip().lower() for m in exclude_modes}
-    mode_col = (schema or {}).get("mode", "mode")
 
-    def build(row, colmap):
-        mode = row.get(mode_col)
+    def build(row):
+        mode = row.get("mode")
         if mode is not None:
             mode = mode.strip() or None
         if mode is not None and mode.lower() in excluded:
             return None
         return TripRecord(
-            card_id=_nonempty(row[colmap["card_id"]], "card_id"),
-            start_time=_minute_time(row[colmap["start_time"]], "start_time"),
-            start_station=_station(row[colmap["start_station"]], "start_station"),
-            end_time=_minute_time(row[colmap["end_time"]], "end_time"),
-            end_station=_station(row[colmap["end_station"]], "end_station"),
+            card_id=_nonempty(row["card_id"], "card_id"),
+            start_time=_minute_time(row["start_time"], "start_time"),
+            start_station=_station(row["start_station"], "start_station"),
+            end_time=_minute_time(row["end_time"], "end_time"),
+            end_station=_station(row["end_station"], "end_station"),
             mode=mode,
         )
 
-    return _parse_rows(source, TRIP_FIELDS, build, strict, schema)
+    return _parse_rows(source, TRIP_FIELDS, build, strict)
 
 
 def parse_gps(
     source: str | Path | IO[str] | Iterable[str],
-    schema: Mapping[str, str] | None = None,
     strict: bool = False,
 ) -> ParseResult:
     """Parse a GPS CSV (cab_id,lat,lon,unix_time)."""
 
-    def build(row, colmap):
+    def build(row):
         return GpsPoint(
-            cab_id=_nonempty(row[colmap["cab_id"]], "cab_id"),
-            latitude=_number(row[colmap["lat"]], "lat"),
-            longitude=_number(row[colmap["lon"]], "lon"),
-            timestamp=_intval(row[colmap["unix_time"]], "unix_time"),
+            cab_id=_nonempty(row["cab_id"], "cab_id"),
+            latitude=_number(row["lat"], "lat"),
+            longitude=_number(row["lon"], "lon"),
+            timestamp=_intval(row["unix_time"], "unix_time"),
         )
 
-    return _parse_rows(source, GPS_FIELDS, build, strict, schema)
+    return _parse_rows(source, GPS_FIELDS, build, strict)
 
 
 def _nonempty(raw: str | None, name: str) -> str:

@@ -24,7 +24,6 @@ from .wire import (
     encode_vector_message,
     frame,
     unframe,
-    vector_payload_bytes,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "recovery_share",
     "shared_point",
     "unframe",
-    "vector_payload_bytes",
 ]

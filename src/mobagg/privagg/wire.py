@@ -66,11 +66,6 @@ def _ints(value: object, name: str) -> list[int]:
     return [_int(v, name) for v in value]
 
 
-def vector_payload_bytes(vector_length: int) -> int:
-    """Size of a packed vector body: 4 bytes per 32-bit word."""
-    return 4 * vector_length
-
-
 # --- round announcement ---
 
 def encode_announcement(group: GroupView) -> bytes:

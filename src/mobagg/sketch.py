@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -24,9 +23,6 @@ HASH_PRIME = (1 << 61) - 1
 _P = np.uint64(HASH_PRIME)
 _LOW29 = np.uint64((1 << 29) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
-
-_HEADER = struct.Struct("<4sIIQddQ")
-_MAGIC = b"CMSK"
 
 Seed = Tuple[int, int]
 
@@ -79,10 +75,6 @@ class SketchParams:
     @property
     def table_size(self) -> int:
         return self.depth * self.width
-
-    @property
-    def payload_bytes(self) -> int:
-        return self.table_size * 4
 
 
 def make_params(input_size: int, epsilon: float, delta: float) -> SketchParams:
@@ -221,50 +213,6 @@ class CountMinSketch:
                 f"flat counter length {arr.size} != {params.table_size}"
             )
         return cls(params, seeds, arr.reshape(params.depth, params.width))
-
-    def to_bytes(self) -> bytes:
-        """Header (depth, width, sizing inputs, prime, seeds) + row-major LE32 counters."""
-        head = _HEADER.pack(
-            _MAGIC,
-            self.params.depth,
-            self.params.width,
-            self.params.input_size,
-            self.params.epsilon,
-            self.params.delta,
-            HASH_PRIME,
-        )
-        seed_words = struct.pack(
-            f"<{2 * self.params.depth}Q",
-            *(v for pair in self.seeds for v in pair),
-        )
-        body = self.counters.astype("<u4").tobytes()
-        return head + seed_words + body
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CountMinSketch":
-        if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
-            raise SketchParamsError("not a serialized sketch")
-        magic, depth, width, input_size, epsilon, delta, prime = _HEADER.unpack_from(blob)
-        if prime != HASH_PRIME:
-            raise SketchParamsError(f"unsupported hash prime {prime}")
-        params = SketchParams(
-            input_size=int(input_size),
-            epsilon=float(epsilon),
-            delta=float(delta),
-            depth=int(depth),
-            width=int(width),
-        )
-        off = _HEADER.size
-        seed_len = 8 * 2 * depth
-        body_len = 4 * depth * width
-        if len(blob) != off + seed_len + body_len:
-            raise SketchParamsError(
-                f"serialized sketch is {len(blob)} bytes, expected {off + seed_len + body_len}"
-            )
-        words = struct.unpack_from(f"<{2 * depth}Q", blob, off)
-        seeds = tuple(zip(words[0::2], words[1::2]))
-        flat = np.frombuffer(blob, dtype="<u4", count=depth * width, offset=off + seed_len)
-        return cls(params, seeds, flat.reshape(depth, width))
 
 
 def encode_vector(

@@ -4,29 +4,24 @@ A series is a fixed-length vector of values over uniform epochs. The weekly
 profile holds the per-(weekday, hour) mean over aligned weeks; subtracting
 it gives the de-seasonalized series the forecasting layer works on, and
 adding it back turns a de-seasonalized prediction into a count forecast.
+
+The analytics run on hourly epochs: a day is ``EPOCHS_PER_DAY`` = 24 slots
+and a week ``HOURS_PER_WEEK`` = 168, defined here and nowhere else. The
+stationarity check is an augmented Dickey-Fuller test at 95% confidence.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Sequence, Tuple
 
 import numpy as np
 
-WEEKDAY_NAMES = (
-    "Monday",
-    "Tuesday",
-    "Wednesday",
-    "Thursday",
-    "Friday",
-    "Saturday",
-    "Sunday",
-)
-
-HOURS_PER_WEEK = 168
+EPOCHS_PER_DAY = 24
+HOURS_PER_WEEK = 7 * EPOCHS_PER_DAY
 
 
 class AlignmentError(ValueError):
@@ -108,7 +103,7 @@ class RoiTimeSeries:
         if not self.epochs.is_hourly:
             raise AlignmentError("weekly slots are defined for hourly epochs")
         wd, hr = self.epochs.slot_of(0)
-        first = wd * 24 + hr
+        first = wd * EPOCHS_PER_DAY + hr
         return (first + np.arange(len(self))) % HOURS_PER_WEEK
 
 
@@ -118,37 +113,14 @@ class SeasonalProfile:
 
     means: np.ndarray  # shape (7, 24)
     weeks_used: int
-    epoch_length: timedelta = field(default=timedelta(hours=1))
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.means, dtype=np.float64)
-        if arr.shape != (7, 24):
+        if arr.shape != (7, EPOCHS_PER_DAY):
             raise ValueError(f"profile must be 7x24, got {arr.shape}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "means", arr)
-
-    def mean_at(self, weekday: int, hour: int) -> float:
-        return float(self.means[weekday, hour])
-
-    def to_json_dict(self) -> dict:
-        """The serialized form: weekday name -> 24 hourly means."""
-        return {
-            name: [float(v) for v in self.means[d]]
-            for d, name in enumerate(WEEKDAY_NAMES)
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, weeks_used: int = 0) -> "SeasonalProfile":
-        means = np.zeros((7, 24))
-        for d, name in enumerate(WEEKDAY_NAMES):
-            if name not in data:
-                raise ValueError(f"profile table is missing {name}")
-            row = data[name]
-            if len(row) != 24:
-                raise ValueError(f"{name} must list 24 hourly means")
-            means[d] = row
-        return cls(means=means, weeks_used=weeks_used)
 
 
 def truncate_to_whole_weeks(series: RoiTimeSeries) -> RoiTimeSeries:
@@ -184,62 +156,35 @@ def seasonal_profile(series: RoiTimeSeries, truncate: bool = False) -> SeasonalP
         raise AlignmentError("profile requires at least one whole week")
     slots = series.slot_index()
     sums = np.bincount(slots, weights=series.values, minlength=HOURS_PER_WEEK)
-    means = (sums / weeks).reshape(7, 24)
+    means = (sums / weeks).reshape(7, EPOCHS_PER_DAY)
     return SeasonalProfile(means=means, weeks_used=weeks)
 
 
 def deseasonalize(series: RoiTimeSeries, profile: SeasonalProfile) -> RoiTimeSeries:
-    """Subtract the slot mean from every epoch."""
-    if series.epochs.epoch_length != profile.epoch_length:
-        raise AlignmentError("series and profile epoch lengths differ")
+    """Subtract the slot mean from every epoch (hourly series only)."""
     flat = profile.means.reshape(-1)
     values = series.values - flat[series.slot_index()]
     return RoiTimeSeries(series.roi_id, values, series.epochs, kind="deseasonalized")
 
 
-def reseasonalize(value: float, profile: SeasonalProfile, slot: Tuple[int, int]) -> float:
-    """Add the slot mean back onto a de-seasonalized prediction."""
-    weekday, hour = slot
-    return float(value) + profile.mean_at(weekday, hour)
-
-
 @dataclass(frozen=True)
 class ForecastErrors:
-    """Absolute and percentage errors of a prediction against observations.
-
-    Percentage entries are NaN where the observed value is zero; ``mean`` and
-    ``stddev`` summarize the absolute errors (population standard deviation).
-    """
+    """Absolute errors of a prediction against observations, and their mean."""
 
     absolute: np.ndarray
-    percentage: np.ndarray
     mean: float
-    stddev: float
-
-    @property
-    def mean_percentage(self) -> float:
-        """Mean percentage error over the slots where it is defined."""
-        defined = self.percentage[~np.isnan(self.percentage)]
-        return float(defined.mean()) if defined.size else float("nan")
 
 
 def forecast_errors(
-    actual: Sequence[float] | np.ndarray | RoiTimeSeries,
-    predicted: Sequence[float] | np.ndarray | RoiTimeSeries,
+    actual: Sequence[float] | np.ndarray,
+    predicted: Sequence[float] | np.ndarray,
 ) -> ForecastErrors:
-    a = np.asarray(actual.values if isinstance(actual, RoiTimeSeries) else actual, dtype=np.float64)
-    p = np.asarray(predicted.values if isinstance(predicted, RoiTimeSeries) else predicted, dtype=np.float64)
+    a = np.asarray(actual, dtype=np.float64)
+    p = np.asarray(predicted, dtype=np.float64)
     if a.shape != p.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("actual and predicted must be equal-length non-empty vectors")
     absolute = np.abs(a - p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        percentage = np.where(a != 0, 100.0 * absolute / np.abs(a), np.nan)
-    return ForecastErrors(
-        absolute=absolute,
-        percentage=percentage,
-        mean=float(absolute.mean()),
-        stddev=float(absolute.std()),
-    )
+    return ForecastErrors(absolute=absolute, mean=float(absolute.mean()))
 
 
 # --- stationarity ---
@@ -253,31 +198,23 @@ class AdfResult:
     n_obs: int
 
 
-# Critical values of the unit-root t-statistic for the constant, no-trend
-# regression, by sample size. Chosen row: largest tabulated size <= n.
-_ADF_CRITICAL = {
-    0.99: ((25, -3.75), (50, -3.58), (100, -3.51), (250, -3.46), (500, -3.44), (math.inf, -3.43)),
-    0.95: ((25, -3.00), (50, -2.93), (100, -2.89), (250, -2.88), (500, -2.87), (math.inf, -2.86)),
-}
+# 95% critical values of the unit-root t-statistic for the constant,
+# no-trend regression, by sample size. Chosen row: largest tabulated size <= n.
+_ADF_CRITICAL_95 = (
+    (25, -3.00), (50, -2.93), (100, -2.89), (250, -2.88), (500, -2.87), (math.inf, -2.86),
+)
 
 
-def _critical_value(confidence: float, n: int) -> float:
-    try:
-        table = _ADF_CRITICAL[confidence]
-    except KeyError:
-        raise ValueError(f"confidence must be one of {sorted(_ADF_CRITICAL)}") from None
-    value = table[0][1]
-    for size, cv in table:
+def _critical_value(n: int) -> float:
+    value = _ADF_CRITICAL_95[0][1]
+    for size, cv in _ADF_CRITICAL_95:
         if n >= size:
             value = cv
     return value
 
 
-def adf_stationary(
-    series: RoiTimeSeries | Sequence[float] | np.ndarray,
-    confidence: float = 0.95,
-) -> AdfResult:
-    """Augmented Dickey-Fuller test with a constant and automatic lag.
+def adf_stationary(series: RoiTimeSeries | Sequence[float] | np.ndarray) -> AdfResult:
+    """Augmented Dickey-Fuller test with a constant and automatic lag, at 95%.
 
     Regresses the first difference on the lagged level, floor((n-1)^(1/3))
     lagged differences, and an intercept; the series is called stationary
@@ -288,7 +225,7 @@ def adf_stationary(
     n = y.size
     if n < 30:
         raise ValueError(f"stationarity test needs >= 30 observations, got {n}")
-    cv = _critical_value(confidence, n)
+    cv = _critical_value(n)
     if np.ptp(y) == 0.0:
         return AdfResult(True, float("-inf"), 0, cv, n)
 

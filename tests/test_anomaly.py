@@ -10,7 +10,6 @@ from mobagg.forecast.anomaly import thresholds
 class TestThresholds:
     def test_band_arithmetic(self):
         assert thresholds(10.0, 2.0) == (16.0, 4.0)
-        assert thresholds(0.0, 1.0, n_sigmas=2.0) == (2.0, -2.0)
 
 
 class TestDetectAnomalies:
@@ -44,9 +43,9 @@ class TestDetectAnomalies:
         (event,) = detect_anomalies(residuals, 0.0, 1.0, epoch_offset=288)
         assert event.epoch_index == 290
 
-    def test_roi_and_direction_tagging(self):
-        (event,) = detect_anomalies([10.0], 0.0, 1.0, roi_id=42, direction="in")
-        assert event.roi_id == 42 and event.direction == "in"
+    def test_roi_tagging(self):
+        (event,) = detect_anomalies([10.0], 0.0, 1.0, roi_id=42)
+        assert event.roi_id == 42
 
     def test_false_positive_rate_matches_normal_tail(self):
         # frozen draw: 34 of 10^4 standard-normal residuals escape +-3
@@ -80,7 +79,7 @@ def burst(n, magnitudes):
     events = []
     for i, m in enumerate(magnitudes):
         events.append(
-            AnomalyEvent(roi_id=0, epoch_index=i, direction="combined",
+            AnomalyEvent(roi_id=0, epoch_index=i,
                          residual=m, side="upper", magnitude=m,
                          lambda1=0.0, lambda2=0.0)
         )
@@ -109,9 +108,9 @@ class TestRankAnomalies:
 
     def test_ties_break_on_epoch_then_roi(self):
         tied = [
-            AnomalyEvent(5, 3, "combined", 2.0, "upper", 2.0, 0.0, 0.0),
-            AnomalyEvent(1, 3, "combined", 2.0, "upper", 2.0, 0.0, 0.0),
-            AnomalyEvent(0, 9, "combined", 2.0, "upper", 2.0, 0.0, 0.0),
+            AnomalyEvent(5, 3, 2.0, "upper", 2.0, 0.0, 0.0),
+            AnomalyEvent(1, 3, 2.0, "upper", 2.0, 0.0, 0.0),
+            AnomalyEvent(0, 9, 2.0, "upper", 2.0, 0.0, 0.0),
         ]
         kept = rank_anomalies(tied, keep_fraction=1.0)
         assert [(e.epoch_index, e.roi_id) for e in kept] == [(3, 1), (3, 5), (9, 0)]

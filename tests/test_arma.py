@@ -309,6 +309,24 @@ class TestSelectOrder:
         with pytest.raises(FitError):
             arma_mod.select_order(np.zeros(200), 2, 2)
 
+    def test_short_window_skips_candidates_it_cannot_fit(self, monkeypatch):
+        # 48 slots, a two-day window, fit ARMA(p, q) only where p + q <= 3
+        tried = []
+
+        def stub(series, p, q):
+            tried.append((p, q))
+            return SimpleNamespace(aic=-float(p + q))
+
+        monkeypatch.setattr(arma_mod, "fit_arma", stub)
+        assert arma_mod.select_order(np.zeros(48), 3, 2) == (1, 2)
+        assert tried == [(p, q) for p in range(4) for q in range(3) if p + q <= 3]
+
+    def test_short_window_picks_among_fittable_orders(self):
+        p, q = select_order(ar1(0.8, 48, seed=48))
+        assert 10 * (p + q + 1) <= 48
+        with pytest.raises(ValueError):
+            select_order(np.zeros(9))
+
 
 class TestForecastOne:
     def test_intercept_only(self):

@@ -286,6 +286,15 @@ class TestAnomaliesCli:
         err = capsys.readouterr().err
         assert "scan_start_day needs train_days + calibration_days of history" in err
 
+    def test_short_training_window_picks_orders_it_can_fit(self, tmp_path, capsys):
+        # two training days are 48 slots: too few for ARMA(3,2), enough for smaller orders
+        series = write_series(tmp_path, synth_counts(1, 672, seed=4))
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "anomalies", "--series", str(series),
+                     "--train-days", "2"])
+        assert code == 0, capsys.readouterr().err
+        assert read_rows(out / "anomalies.csv")[0][0] == "roi_id"
+
     def test_pooled_report_matches_in_process(self, tmp_path, monkeypatch):
         counts = synth_counts(3, 672, seed=4)
         counts[1, 14 * 24 + 17] += 50

@@ -447,7 +447,6 @@ def assert_same_scan(a, b):
     assert np.array_equal(a.predictions, b.predictions)
     assert np.array_equal(a.residuals, b.residuals)
     assert np.array_equal(a.errors.absolute, b.errors.absolute)
-    assert np.array_equal(a.errors.percentage, b.errors.percentage, equal_nan=True)
     assert a.errors.mean == b.errors.mean
     assert a.orders == b.orders
     assert a.fallback_epochs == b.fallback_epochs

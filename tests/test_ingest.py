@@ -73,23 +73,6 @@ class TestParseTrips:
             )
         assert info.value.line == 3
 
-    def test_schema_remap(self):
-        src = io.StringIO(
-            "user,dep_time,dep_stop,arr_time,arr_stop\n"
-            "c9,2016-02-01T07:00,1,2016-02-01T07:30,2\n"
-        )
-        result = parse_trips(
-            src,
-            schema={
-                "card_id": "user",
-                "start_time": "dep_time",
-                "start_station": "dep_stop",
-                "end_time": "arr_time",
-                "end_station": "arr_stop",
-            },
-        )
-        assert result.ok and result.records[0].card_id == "c9"
-
     def test_missing_column_fails_fast(self):
         src = io.StringIO("card_id,start_time\nc1,2016-02-01T08:00\n")
         with pytest.raises(ParseFailure):

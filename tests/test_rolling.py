@@ -92,7 +92,7 @@ class TestRollingForecast:
         assert result.fallback_epochs == tuple(range(600, 624))
         assert result.models == (None,)
         slots = [series.epochs.slot_of(t) for t in range(600, 624)]
-        seasonal = [profile.mean_at(wd, hr) for wd, hr in slots]
+        seasonal = [profile.means[wd, hr] for wd, hr in slots]
         assert np.allclose(result.predictions, seasonal)
 
     def test_raw_fallback_uses_window_mean(self, noisy_fixture, monkeypatch):
@@ -162,9 +162,6 @@ class TestEnhancedForecast:
         no_ar = enhanced_forecast(rolling_scan(series, profile, 25, 1, orders=(0, 1)),
                                   d, [helper])
         assert no_ar.var_order == 1
-        explicit = enhanced_forecast(rolling_scan(series, profile, 25, 1, orders=(1, 0)),
-                                     d, [helper], var_order=2)
-        assert explicit.var_order == 2
 
     def test_baseline_must_be_one_day_of_the_target(self, noisy_fixture):
         series, profile = noisy_fixture
