@@ -4,14 +4,15 @@ Keys live on Curve25519: private keys are 32-byte scalars, public keys the
 canonical 32-byte point encoding, and the shared point for a pair of users
 is the X25519 exchange output, which both sides derive identically.
 
-A pair's point depends only on the two long-term keys, so a member computes
-it once per keypair and derives every round's mask from (point, round id),
-as in Kursawe, Danezis and Kohlweiss, "Privacy-Friendly Aggregation for the
-Smart-Grid" (PETS 2011). Each ``KeyPair`` keeps those points in its own
-table, keyed by the peer's announced public key; ``masking`` fills it on
-first use. The table holds shared secrets and is as sensitive as the private
-key. It grows by one point per distinct peer key the member is announced,
-which under the honest-but-curious model is at most the cohort.
+A pair's point depends only on the two long-term keys, so a member
+exchanges once per keypair, hashes the point into the pair's 32-byte mask
+key, and derives every round's mask from (key, round id), as in Kursawe,
+Danezis and Kohlweiss, "Privacy-Friendly Aggregation for the Smart-Grid"
+(PETS 2011). Each ``KeyPair`` keeps those pair keys in its own table, keyed
+by the peer's announced public key; ``masking`` fills it on first use. The
+table holds shared secrets and is as sensitive as the private key. It grows
+by one key per distinct peer key the member is announced, which under the
+honest-but-curious model is at most the cohort.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ class KeyPair:
 
     Built from the private half alone: the key is parsed once, here, the
     public half is derived from it, and every exchange reuses the parsed key.
-    ``repr`` shows only the public half. ``_points`` maps a peer's public key
-    bytes to the pair's shared point; it is neither shown by ``repr`` nor part
+    ``repr`` shows only the public half. ``_pair_keys`` maps a peer's public
+    key bytes to the pair's mask key; it is neither shown by ``repr`` nor part
     of equality and hashing.
     """
 
     private_bytes: bytes = field(repr=False)
     public_bytes: bytes = field(init=False)
     _private_key: X25519PrivateKey = field(init=False, repr=False, compare=False)
-    _points: dict[bytes, bytes] = field(
+    _pair_keys: dict[bytes, bytes] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

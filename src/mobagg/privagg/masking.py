@@ -1,15 +1,17 @@
 """Pairwise additive masking over 32-bit counter vectors.
 
-Every pair of group members shares a DH point; one SHAKE-256 call over
-that point and the round id expands it into the pair's stream of 32-bit mask
-words (the PRG expansion of Bonawitz et al., "Practical Secure Aggregation
-for Privacy-Preserving Machine Learning", CCS 2017). A member computes each
-pair point once per keypair and derives every round's mask from (point,
-round id), the long-term pair keys of Kursawe, Danezis and Kohlweiss,
-"Privacy-Friendly Aggregation for the Smart-Grid" (PETS 2011): the points
+Every pair of group members shares a DH point. On the pair's first exchange
+the member hashes that point into a 32-byte ChaCha20 key (SHA-256 under a
+fixed domain tag), and each round one ChaCha20 keystream call (RFC 8439) under
+that key, with the round id as nonce, expands it into the pair's stream of
+32-bit mask words (the PRG expansion of Bonawitz et al., "Practical Secure
+Aggregation for Privacy-Preserving Machine Learning", CCS 2017). A member
+derives each pair key once per keypair and every round's mask from (key,
+round id), as in the long-term pair keys of Kursawe, Danezis and Kohlweiss,
+"Privacy-Friendly Aggregation for the Smart-Grid" (PETS 2011): the keys
 live in the ``KeyPair``'s own table, keyed by the peer's announced public
 key, so a re-keyed peer gets a fresh exchange. That table holds shared
-secrets, as sensitive as the private key, and grows by one point per
+secrets, as sensitive as the private key, and grows by one key per
 distinct peer key the member is announced: at most the cohort under the
 threat model below. Each member adds the
 mask stream toward higher-positioned members and subtracts it toward
@@ -42,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence, Tuple
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .keys import KEY_BYTES, KeyPair, shared_point
 
@@ -50,6 +53,12 @@ MASK_MODULUS = 1 << 32
 # admits the 582**2 = 338,724-word station OD vectors and stops one hostile
 # announcement from making every member expand a multi-gigabyte mask stream.
 MAX_VECTOR_LENGTH = 1 << 24
+# Domain tag of the pair-key hash: an X25519 output is not a uniform 32-byte
+# string, so the ChaCha20 key is SHA-256 of this tag and the point, never the
+# bare point.
+_PAIR_KEY_TAG = b"mobagg privagg pair mask key v1\x00"
+# Parsed once: mask_stream runs once per pair and round, often on short vectors.
+_MASK_WORD = np.dtype("<u4")
 
 
 class ProtocolError(ValueError):
@@ -115,35 +124,41 @@ class AggregateResult:
 
 # --- mask stream derivation ---
 
-def mask_stream(point: bytes, round_id: int, length: int) -> np.ndarray:
-    """The 32-bit mask words one DH pair derives for a round.
+def mask_stream(key: bytes, round_id: int, length: int) -> np.ndarray:
+    """The 32-bit mask words one pair key derives for a round.
 
-    The stream is the first 4 * length bytes of SHAKE-256(point || round_id),
-    with round_id encoded as 8-byte big-endian, read as little-endian 32-bit
-    words. The returned array is read-only.
+    The stream is the ChaCha20 keystream (RFC 8439) under the 32-byte
+    ``key`` from block counter 1, with the 12-byte nonce round_id as 8-byte
+    little-endian followed by 4 zero bytes, read as little-endian 32-bit words.
+    It is computed as the ChaCha20-Poly1305 encryption of 4 * length zero
+    bytes with the tag dropped: one call, and no cipher object kept per pair.
+    The returned array is read-only.
     """
     if not (0 <= round_id < 1 << 64):
         raise ProtocolError(f"round_id {round_id} outside [0, 2**64)")
-    if length < 1:
-        raise ProtocolError("stream length must be >= 1")
-    seed = point + round_id.to_bytes(8, "big")
-    return np.frombuffer(hashlib.shake_256(seed).digest(4 * length), dtype="<u4")
+    if not (1 <= length <= MAX_VECTOR_LENGTH):
+        raise ProtocolError(f"stream length {length} outside [1, {MAX_VECTOR_LENGTH}]")
+    nonce = round_id.to_bytes(12, "little")
+    sealed = ChaCha20Poly1305(key).encrypt(nonce, bytes(4 * length), None)
+    return np.frombuffer(sealed, _MASK_WORD, length)
 
 
-def _pair_point(own: KeyPair, peer_public: bytes) -> bytes:
-    """The DH point with ``peer_public``, exchanged once per keypair.
+def _pair_key(own: KeyPair, peer_public: bytes) -> bytes:
+    """The pair's mask key with ``peer_public``, derived once per keypair.
 
-    A failed exchange (a low-order peer key yields the all-zero point, which
-    X25519 refuses) raises ProtocolError and is never stored.
+    The key is SHA-256 over a domain tag and the X25519 point. A failed
+    exchange (a low-order peer key yields the all-zero point, which X25519
+    refuses) raises ProtocolError and stores nothing.
     """
-    point = own._points.get(peer_public)
-    if point is None:
+    key = own._pair_keys.get(peer_public)
+    if key is None:
         try:
             point = shared_point(own, peer_public)
         except ValueError as exc:
             raise ProtocolError(f"unusable peer public key: {exc}") from exc
-        own._points[peer_public] = point
-    return point
+        key = hashlib.sha256(_PAIR_KEY_TAG + point).digest()
+        own._pair_keys[peer_public] = key
+    return key
 
 
 def _signed_stream_sum(
@@ -160,7 +175,7 @@ def _signed_stream_sum(
         if peer_pos == pos:
             raise ProtocolError("a member has no pair stream with itself")
         stream = mask_stream(
-            _pair_point(own, group.public_keys[peer]),
+            _pair_key(own, group.public_keys[peer]),
             group.round_id,
             group.vector_length,
         )

@@ -1,6 +1,7 @@
 """End-to-end runs of the mobagg command line through main(argv)."""
 
 import csv
+import hashlib
 import json
 from datetime import datetime
 
@@ -460,6 +461,23 @@ class TestSimulateCli:
         assert (tmp_path / "a" / "rounds.csv").read_bytes() == (
             tmp_path / "b" / "rounds.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--n-stations", "6"],
+         "46191348a7881fba094472123f74e0abe682d230061df81fd280ebe69163461c"),
+        (["--mode", "sketch", "--dropout", "0.1"],
+         "8686550e4236c98b9069731089d05c6ac149ade10f28fb7898f1f31c82218891"),
+    ], ids=["station", "sketch-dropout"])
+    def test_rounds_report_is_frozen(self, tmp_path, argv, digest):
+        # Taken while the pair streams came from SHAKE-256: the report holds
+        # sizes, recoveries and oracle verdicts, never a mask word, so no
+        # choice of PRG may move a byte of it. The sketch run recovers.
+        code = main(
+            ["--seed", "7", "--out", str(tmp_path), "simulate", "--users", "12",
+             "--group-size", "4", "--rounds", "2"] + argv
+        )
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "rounds.csv").read_bytes()).hexdigest() == digest
 
     def test_tcp_transport_runs(self, tmp_path):
         code = main(

@@ -164,7 +164,7 @@ class TestSimulateRound:
             assert a.online_users == b.online_users
             assert a.report.upload_bytes == b.report.upload_bytes
             assert a.report.download_bytes == b.report.download_bytes
-        assert max(len(k._points) for k in warm_keys.values()) <= cfg.n_users - 1
+        assert max(len(k._pair_keys) for k in warm_keys.values()) <= cfg.n_users - 1
 
     def test_population_below_threshold_skips(self):
         cfg = SimConfig(n_users=2, group_size=2, threshold=3, mode="station", n_stations=2)

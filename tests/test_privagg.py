@@ -1,10 +1,12 @@
 """Pairwise masking protocol: keys, blinding, aggregation, recovery, groups."""
 
+import hashlib
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from mobagg.privagg import (
     recovery_share,
     shared_point,
 )
+from mobagg.privagg.masking import MAX_VECTOR_LENGTH
 
 
 def make_group(n, round_id=0, length=16, seed=0, ids=None):
@@ -39,6 +42,12 @@ def make_group(n, round_id=0, length=16, seed=0, ids=None):
     return keys, group
 
 
+def derived_key(own, peer_public):
+    """The pair's mask key from a fresh exchange: SHA-256(tag || point)."""
+    point = shared_point(own, peer_public)
+    return hashlib.sha256(masking_mod._PAIR_KEY_TAG + point).digest()
+
+
 def direct_factors(keys, uid, group):
     """A member's factors summed straight from the sign rule, fresh exchanges."""
     expected = np.zeros(group.vector_length, dtype=np.uint32)
@@ -46,8 +55,8 @@ def direct_factors(keys, uid, group):
     for j, peer in enumerate(group.member_ids):
         if peer == uid:
             continue
-        point = shared_point(keys[uid], group.public_keys[peer])
-        stream = mask_stream(point, group.round_id, group.vector_length)
+        key = derived_key(keys[uid], group.public_keys[peer])
+        stream = mask_stream(key, group.round_id, group.vector_length)
         if pos < j:
             expected += stream
         else:
@@ -165,19 +174,49 @@ class TestBlindingFactors:
         assert not total.any()
 
     def test_mask_stream_known_answer(self):
-        # SHAKE-256(point || round id as 8-byte BE), read as little-endian words
+        # ChaCha20(key, nonce = round id as 8-byte LE || 4 zero bytes) from
+        # block counter 1, read as little-endian words
         stream = mask_stream(bytes(range(32)), 7, 3264)
         assert stream.dtype == np.uint32 and stream.shape == (3264,)
         assert not stream.flags.writeable
-        assert int(stream[0]) == 0x94CC26FB
-        assert int(stream[-1]) == 0xA0B60AC8
+        assert int(stream[0]) == 0x818C789C
+        assert int(stream[-1]) == 0x597DACE7
+
+    def test_pair_key_known_answer(self):
+        # SHA-256(tag || point) of the point test_shared_point_known_answer pins
+        key = masking_mod._pair_key(keygen(1), keygen(2).public_bytes)
+        expected = "333760d520cb2385510ddd5c97165e203e566babb78395cbc2be40b12c455042"
+        assert key.hex() == expected
+
+    @pytest.mark.parametrize("length", [1, 16, 17, 3264])
+    def test_mask_stream_is_raw_chacha20_from_counter_one(self, length):
+        key, round_id = bytes(range(32)), 7
+        nonce = (1).to_bytes(4, "little") + round_id.to_bytes(8, "little") + bytes(4)
+        encryptor = Cipher(algorithms.ChaCha20(key, nonce), mode=None).encryptor()
+        expected = np.frombuffer(encryptor.update(bytes(4 * length)), dtype="<u4")
+        assert np.array_equal(mask_stream(key, round_id, length), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        key=st.binary(min_size=32, max_size=32),
+        round_id=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_shorter_stream_is_prefix(self, key, round_id, n, data):
+        m = data.draw(st.integers(1, n))
+        assert np.array_equal(mask_stream(key, round_id, n)[:m], mask_stream(key, round_id, m))
+
+    def test_mask_stream_length_bounded(self):
+        with pytest.raises(ProtocolError, match="stream length"):
+            mask_stream(bytes(32), 0, MAX_VECTOR_LENGTH + 1)
 
     def test_round_separation(self):
         # same pair, consecutive rounds: not a single mask word survives
         keys, _ = make_group(2, length=2048)
-        point = shared_point(keys[0], keys[1].public_bytes)
-        s1 = mask_stream(point, 1, 2048)
-        s2 = mask_stream(point, 2, 2048)
+        key = derived_key(keys[0], keys[1].public_bytes)
+        s1 = mask_stream(key, 1, 2048)
+        s2 = mask_stream(key, 2, 2048)
         assert int((s1 == s2).sum()) == 0
 
 
@@ -215,10 +254,10 @@ class TestPairPointTable:
             vector_length=8,
         )
         mine = blinding_factors(keys[0], 0, rekeyed)
-        expected = mask_stream(shared_point(keys[0], fresh.public_bytes), 2, 8)
+        expected = mask_stream(derived_key(keys[0], fresh.public_bytes), 2, 8)
         assert np.array_equal(mine, expected)
         assert not (mine + blinding_factors(fresh, 1, rekeyed)).any()
-        assert len(keys[0]._points) == 2
+        assert len(keys[0]._pair_keys) == 2
 
     def test_full_table_leaves_equality_and_hash(self):
         a, b = keygen(42), keygen(42)
@@ -229,17 +268,17 @@ class TestPairPointTable:
             vector_length=4,
         )
         blinding_factors(a, 0, group)
-        assert len(a._points) == 2 and not b._points
+        assert len(a._pair_keys) == 2 and not b._pair_keys
         assert a == b and hash(a) == hash(b)
 
     def test_repr_shows_no_point(self):
         keys, group = make_group(3, seed=4)
         blinding_factors(keys[0], 0, group)
         text = repr(keys[0])
-        assert keys[0]._points
-        for point in keys[0]._points.values():
-            assert point.hex() not in text and repr(point) not in text
-        assert "_points" not in text
+        assert keys[0]._pair_keys
+        for key in keys[0]._pair_keys.values():
+            assert key.hex() not in text and repr(key) not in text
+        assert "_pair_keys" not in text
 
 
 class TestEncrypt:

@@ -246,7 +246,7 @@ class TestHostileInput:
         for _ in range(2):  # a failed exchange is not stored, so it fails again
             with pytest.raises(ProtocolError):
                 mask(keys[0], view)
-        assert keys[0]._points == {}
+        assert keys[0]._pair_keys == {}
 
     @settings(max_examples=300, deadline=None)
     @given(blob=st.one_of(
