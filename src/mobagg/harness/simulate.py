@@ -1,9 +1,16 @@
 """End-to-end simulation of aggregation rounds with exact byte accounting.
 
-One round takes every user's plaintext vector through group assignment,
-masking, transport framing, aggregation, and (when members drop out) fault
-recovery. The aggregator's result is checked against the plaintext oracle
-every single round; a mismatch is a fatal protocol bug, not a statistic.
+Members and the aggregator meet only in frames. ``simulate_round`` routes
+them: it assigns groups, sends each group's announcement through the
+transport, hands every online member the bytes the transport delivered to
+it, aggregates the ciphertext frames that come back and, when members drop
+out, routes the recovery request and shares the same way. A member step
+(``member_submit``, ``member_recover``) holds only its keypair, its own
+plaintext and the deployment's sketch sizing; every view, online list and
+sketch seed it uses is decoded from the frames it received, so a hostile
+frame meets the member's own checks and fails with ``ProtocolError``. Each
+group's aggregate is checked against the plaintext oracle every single
+round; a mismatch is a fatal protocol bug, not a statistic.
 """
 
 from __future__ import annotations
@@ -19,9 +26,12 @@ from .. import sketch as cms
 from ..privagg import (
     GroupView,
     KeyPair,
+    ProtocolError,
     aggregate,
     assign_groups,
     blinding_factors,
+    decode_announcement,
+    decode_recovery_request,
     decode_vector_message,
     encode_announcement,
     encode_recovery_request,
@@ -168,20 +178,64 @@ def synthesize_users(
     return matrix
 
 
-def _member_vectors(
-    config: SimConfig,
+def member_submit(
+    own: KeyPair,
+    own_id: int,
     plain: np.ndarray,
     params: cms.SketchParams | None,
-    seeds: tuple[tuple[int, int], ...] | None,
-) -> np.ndarray:
-    """What each user actually submits: raw counts or its local sketch."""
+    announcement: bytes,
+) -> tuple[GroupView, bytes]:
+    """A member's answer to the announcement frame it received: its ciphertext frame.
+
+    The member decodes the announcement, sketches its own plaintext under the
+    announced seeds when the deployment sketches (``params``), masks the
+    result and encodes it. It also returns the view it decoded, which it keeps
+    for a recovery request. A vector length or sketch seeds that do not fit
+    the deployment raise ProtocolError before any mask is expanded.
+    """
+    view = decode_announcement(announcement)
+    expected = params.table_size if params else plain.size
+    if view.vector_length != expected:
+        raise ProtocolError(
+            f"announced vector_length {view.vector_length}, this deployment sends {expected}"
+        )
     if params is None:
-        return plain
-    rows = [
-        cms.encode_vector(plain[uid], params, seeds).flatten()
-        for uid in range(plain.shape[0])
-    ]
-    return np.stack(rows)
+        if view.sketch_seeds is not None:
+            raise ProtocolError("announced sketch seeds, but this deployment does not sketch")
+        vector = plain
+    else:
+        try:
+            vector = cms.encode_vector(plain, params, view.sketch_seeds or ()).flatten()
+        except cms.SketchParamsError as exc:
+            raise ProtocolError(f"announced sketch seeds do not fit: {exc}") from None
+    entries = encrypt(vector, blinding_factors(own, own_id, view))
+    return view, encode_vector_message(VectorMessage(own_id, view.round_id, entries))
+
+
+def member_recover(own: KeyPair, own_id: int, view: GroupView, request: bytes) -> bytes:
+    """A member's answer to the recovery-request frame it received: its share frame.
+
+    The request must name the round of the member's own decoded ``view``; the
+    share covers the peers that the decoded online list leaves out.
+    """
+    round_id, online = decode_recovery_request(request)
+    if round_id != view.round_id:
+        raise ProtocolError(
+            f"recovery request for round {round_id}, but the announcement was round {view.round_id}"
+        )
+    share = recovery_share(own, own_id, view, online)
+    return encode_vector_message(VectorMessage(own_id, round_id, share, kind="recovery_share"))
+
+
+def _upload_entries(blob: bytes, user_id: int, round_id: int, kind: str) -> np.ndarray:
+    """The entries of an upload whose header names its sender, round and kind."""
+    msg = decode_vector_message(blob)
+    if (msg.user_id, msg.round_id, msg.kind) != (user_id, round_id, kind):
+        raise ProtocolError(
+            f"upload from user {user_id} in round {round_id} claims user {msg.user_id}, "
+            f"round {msg.round_id}, kind {msg.kind!r}; expected {kind!r}"
+        )
+    return msg.entries
 
 
 def simulate_round(
@@ -194,13 +248,12 @@ def simulate_round(
 ) -> RoundOutcome:
     """Run one full aggregation round over every user's plaintext vector.
 
-    ``user_vectors`` is (n_users, plain_length) of non-negative counts. The
-    returned values cover only the users that stayed online; each group's
-    aggregate is verified against the plaintext oracle and a disagreement
-    raises OracleMismatch.
+    ``user_vectors`` is (n_users, plain_length) of non-negative counts; each
+    member reads only its own row. The returned values cover only the users
+    that stayed online; each group's aggregate is verified against the
+    plaintext oracle and a disagreement raises OracleMismatch.
     """
     t0 = time.perf_counter()
-    own_transport = transport is None
     bus = transport or InProcessTransport()
     plain_len = config.plain_length()
     if user_vectors.shape != (config.n_users, plain_len):
@@ -214,8 +267,7 @@ def simulate_round(
     seeds = None
     if params is not None:
         seeds = cms.draw_seeds(params.depth, rng)
-    submitted = _member_vectors(config, user_vectors, params, seeds)
-    length = submitted.shape[1]
+    length = config.vector_length()
 
     memberships = assign_groups(
         list(range(config.n_users)), config.group_size, config.threshold, rng
@@ -237,87 +289,78 @@ def simulate_round(
     total = np.zeros(length, dtype=np.uint32)
     online_all: list[int] = []
     group_reports: list[GroupReport] = []
-    try:
-        for g_index, members in enumerate(memberships):
-            view = GroupView(
-                round_id=round_id,
-                member_ids=members,
-                public_keys={uid: keys[uid].public_bytes for uid in members},
-                vector_length=length,
-                sketch_seeds=seeds,
+    for g_index, members in enumerate(memberships):
+        view = GroupView(
+            round_id=round_id,
+            member_ids=members,
+            public_keys={uid: keys[uid].public_bytes for uid in members},
+            vector_length=length,
+            sketch_seeds=seeds,
+        )
+        announcement = encode_announcement(view)
+        received = {uid: bus.deliver(announcement, DOWNLOAD) for uid in members}
+        down = sum(len(blob) for blob in received.values())
+        up = 0
+
+        # Dropouts happen before submission; at least one member survives.
+        online = [uid for uid in members if rng.random() >= config.dropout_rate]
+        if not online:
+            online = [rng.choice(members)]
+
+        # Each member keeps the view it decoded, for a recovery request.
+        member_views: dict[int, GroupView] = {}
+        ciphertexts: dict[int, np.ndarray] = {}
+        for uid in online:
+            member_views[uid], upload = member_submit(
+                keys[uid], uid, user_vectors[uid], params, received[uid]
             )
-            up = down = 0
-            announcement = encode_announcement(view)
-            for _ in members:
-                down += len(bus.deliver(announcement, DOWNLOAD))
+            blob = bus.deliver(upload, UPLOAD)
+            up += len(blob)
+            ciphertexts[uid] = _upload_entries(blob, uid, round_id, "ciphertext")
 
-            # Dropouts happen before submission; at least one member survives.
-            online = [uid for uid in members if rng.random() >= config.dropout_rate]
-            if not online:
-                online = [rng.choice(members)]
-            online_set = set(online)
-
-            payload = 4 * length
-            ciphertexts: dict[int, np.ndarray] = {}
+        result = aggregate(ciphertexts, view)
+        recovery = bool(result.missing)
+        if recovery:
+            request = encode_recovery_request(round_id, online)
+            shares: dict[int, np.ndarray] = {}
             for uid in online:
-                factors = blinding_factors(keys[uid], uid, view)
+                delivered = bus.deliver(request, DOWNLOAD)
+                down += len(delivered)
                 blob = bus.deliver(
-                    encode_vector_message(
-                        VectorMessage(uid, round_id, encrypt(submitted[uid], factors))
-                    ),
-                    UPLOAD,
+                    member_recover(keys[uid], uid, member_views[uid], delivered), UPLOAD
                 )
                 up += len(blob)
-                ciphertexts[uid] = decode_vector_message(blob).entries
+                shares[uid] = _upload_entries(blob, uid, round_id, "recovery_share")
+            values = recover_aggregate(ciphertexts, shares, view)
+        else:
+            values = result.values
 
-            result = aggregate(ciphertexts, view)
-            recovery = bool(result.missing)
-            if recovery:
-                request = encode_recovery_request(round_id, online)
-                shares: dict[int, np.ndarray] = {}
-                for uid in online:
-                    down += len(bus.deliver(request, DOWNLOAD))
-                    blob = bus.deliver(
-                        encode_vector_message(
-                            VectorMessage(
-                                uid, round_id,
-                                recovery_share(keys[uid], uid, view, online_set),
-                                kind="recovery_share",
-                            )
-                        ),
-                        UPLOAD,
-                    )
-                    up += len(blob)
-                    shares[uid] = decode_vector_message(blob).entries
-                values = recover_aggregate(ciphertexts, shares, view)
-            else:
-                values = result.values
-
-            oracle = np.zeros(length, dtype=np.uint32)
-            for uid in online:
-                oracle += submitted[uid].astype(np.uint32)
-            verified = bool(np.array_equal(values, oracle))
-            group_reports.append(
-                GroupReport(
-                    group_index=g_index,
-                    n_members=len(members),
-                    n_online=len(online),
-                    payload_bytes_per_member=payload,
-                    upload_bytes=up,
-                    download_bytes=down,
-                    recovery_invoked=recovery,
-                    verified=verified,
-                )
+        # Count-min sketches are linear mod 2**32: the sketch of the online
+        # plaintext sum is the sum of the online members' sketches.
+        oracle = np.zeros(plain_len, dtype=np.int64)
+        for uid in online:
+            oracle += user_vectors[uid]
+        if params is not None:
+            oracle = cms.encode_vector(oracle, params, seeds).flatten()
+        verified = bool(np.array_equal(values, oracle.astype(np.uint32)))
+        group_reports.append(
+            GroupReport(
+                group_index=g_index,
+                n_members=len(members),
+                n_online=len(online),
+                payload_bytes_per_member=4 * length,
+                upload_bytes=up,
+                download_bytes=down,
+                recovery_invoked=recovery,
+                verified=verified,
             )
-            if not verified:
-                raise OracleMismatch(
-                    f"round {round_id} group {g_index}: aggregate != plaintext sum"
-                )
-            total += values
-            online_all.extend(online)
-    finally:
-        if own_transport:
-            bus.close()
+        )
+        if not verified:
+            raise OracleMismatch(
+                f"round {round_id} group {g_index}: aggregate != plaintext sum"
+            )
+        total += values
+        online_all.extend(online)
 
     if params is not None:
         merged = cms.CountMinSketch.from_flat(params, seeds, total)

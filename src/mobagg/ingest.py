@@ -379,15 +379,21 @@ def grid_series(
 
 # --- series round trip ---
 
+def _sidecar(csv_path: Path) -> Path:
+    return csv_path.with_suffix(csv_path.suffix + ".meta.json")
+
+
 def write_series_csv(
     series_set: SeriesSet,
     csv_path: str | Path,
-    sidecar_path: str | Path | None = None,
     grid: GridSpec | None = None,
 ) -> Path:
-    """Write nonzero counts as ``roi_id,epoch_index,count`` plus a JSON sidecar."""
+    """Write nonzero counts as ``roi_id,epoch_index,count`` plus a JSON sidecar.
+
+    The sidecar sits next to the CSV, at the CSV's path plus ``.meta.json``.
+    """
     csv_path = Path(csv_path)
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(csv_path.suffix + ".meta.json")
+    sidecar = _sidecar(csv_path)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["roi_id", "epoch_index", "count"])
@@ -419,17 +425,14 @@ def write_series_csv(
     return sidecar
 
 
-def read_series_csv(
-    csv_path: str | Path,
-    sidecar_path: str | Path | None = None,
-) -> tuple[SeriesSet, GridSpec | None]:
+def read_series_csv(csv_path: str | Path) -> tuple[SeriesSet, GridSpec | None]:
     """Inverse of write_series_csv; round-trips counts bit-exactly.
 
     A missing sidecar field or a CSV row that is not three integers inside
     the sidecar's shape raises ``ValueError`` (naming the row's line).
     """
     csv_path = Path(csv_path)
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(csv_path.suffix + ".meta.json")
+    sidecar = _sidecar(csv_path)
     meta = json.loads(sidecar.read_text())
     try:
         epochs = EpochSpec(

@@ -31,10 +31,15 @@ nothing about its plaintext without the matching mask stream.
 Threat model: the aggregator is honest but curious. It follows the protocol
 and, in particular, reports the true online set when it asks for recovery
 shares; under that assumption it learns the sum over the online members and
-nothing else. An aggregator that declares a member offline after receiving
-its ciphertext collects that member's whole mask from the others' recovery
-shares and so learns its plaintext. Closing that gap needs double masking
-(Bonawitz et al. 2017), which this module does not implement.
+nothing else. In a simulated round members decode every frame themselves
+(``harness.simulate.member_submit`` and ``member_recover``): the group view,
+the sketch seeds and the online list they act on come from the announcement
+and recovery-request frames they received, and a frame that does not fit
+raises ProtocolError. That does not close the false-offline leak: an aggregator
+that declares a member offline after receiving its ciphertext collects that
+member's whole mask from the others' recovery shares and so learns its
+plaintext. Closing that gap needs double masking (Bonawitz et al. 2017),
+which this module does not implement.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import pytest
 import mobagg.forecast.rolling as rolling_mod
 import mobagg.harness.pipeline as pipeline_mod
 import mobagg.harness.simulate as sim_mod
+import mobagg.privagg.masking as masking_mod
 from mobagg.forecast import FitError, detect_anomalies, rolling_scan, select_order
 from mobagg.harness.pipeline import (
     PipelineConfig,
@@ -53,9 +54,12 @@ from mobagg.ingest import SeriesSet
 from mobagg.privagg import (
     GroupView,
     KeyPair,
+    ProtocolError,
     VectorMessage,
     encode_announcement,
     encode_vector_message,
+    frame,
+    unframe,
 )
 from mobagg.timeseries import deseasonalize, seasonal_profile
 
@@ -223,6 +227,94 @@ class TestSimulateRound:
     def test_od_mode_vector_is_station_squared(self):
         cfg = SimConfig(n_users=4, group_size=2, threshold=2, mode="od", n_stations=7)
         assert cfg.plain_length() == 49
+
+
+class TamperingTransport(InProcessTransport):
+    """Counts each frame as sent, then delivers every frame of type ``kind``
+    with its header rewritten by ``edit``."""
+
+    def __init__(self, kind, edit):
+        super().__init__()
+        self.kind, self.edit = kind, edit
+
+    def deliver(self, blob, direction):
+        blob = super().deliver(blob, direction)
+        header, body = unframe(blob)
+        if header["type"] != self.kind:
+            return blob
+        return frame(self.edit(header), body)
+
+
+def swap_first_two_keys(header):
+    a, b = (str(uid) for uid in header["members"][:2])
+    keys = header["public_keys"]
+    keys[a], keys[b] = keys[b], keys[a]
+    return header
+
+
+class TestHostileRound:
+    """A member acts only on the frames it receives, and the aggregator checks
+    every upload's header: a tampered frame fails the round with ProtocolError."""
+
+    # the round of test_dropouts_recover_online_sum, which runs recovery
+    STATION = SimConfig(n_users=12, group_size=4, threshold=2, mode="station",
+                        n_stations=3, dropout_rate=0.3)
+    SKETCH = SimConfig(n_users=6, group_size=3, threshold=2, mode="sketch",
+                       n_stations=10, sketch_epsilon=0.2, sketch_delta=0.2)
+
+    def run(self, cfg, bus):
+        rng = random.Random(7)
+        keys = setup_users(cfg.n_users, rng)
+        vecs = np.random.default_rng(1).integers(0, 4, size=(cfg.n_users, cfg.plain_length()))
+        return simulate_round(cfg, vecs, keys, 5, rng, bus)
+
+    @pytest.mark.parametrize("length", [2**40, 7], ids=["2**40", "wrong-length"])
+    def test_announced_length_expands_no_mask(self, length, monkeypatch):
+        calls = []
+        real = masking_mod.mask_stream
+        monkeypatch.setattr(masking_mod, "mask_stream", lambda *a: calls.append(a) or real(*a))
+        bus = TamperingTransport("round", lambda h: {**h, "vector_length": length})
+        with pytest.raises(ProtocolError, match="vector_length"):
+            self.run(self.STATION, bus)
+        assert calls == []
+
+    def test_swapped_member_key(self):
+        with pytest.raises(ProtocolError, match="does not match announced key"):
+            self.run(self.STATION, TamperingTransport("round", swap_first_two_keys))
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda s: s[:-1], id="one-row-short"),
+        pytest.param(lambda s: s + [[1, 2]], id="one-row-over"),
+        pytest.param(lambda s: [[0, s[0][1]]] + s[1:], id="a-zero"),
+        pytest.param(lambda s: [[(1 << 61) - 1, 0]] + s[1:], id="a-at-prime"),
+        pytest.param(lambda s: [[s[0][0], 2**64]] + s[1:], id="b-beyond-uint64"),
+        pytest.param(lambda s: None, id="missing"),
+    ])
+    def test_sketch_seeds_that_do_not_fit(self, edit):
+        bus = TamperingTransport("round", lambda h: {**h, "sketch_seeds": edit(h["sketch_seeds"])})
+        with pytest.raises(ProtocolError, match="sketch seeds"):
+            self.run(self.SKETCH, bus)
+
+    def test_sketch_seeds_in_a_station_round(self):
+        bus = TamperingTransport("round", lambda h: {**h, "sketch_seeds": [[1, 2]]})
+        with pytest.raises(ProtocolError, match="sketch seeds"):
+            self.run(self.STATION, bus)
+
+    def test_recovery_request_for_another_round(self):
+        bus = TamperingTransport("recovery_request", lambda h: {**h, "round_id": h["round_id"] + 1})
+        with pytest.raises(ProtocolError, match="recovery request for round 6"):
+            self.run(self.STATION, bus)
+
+    @pytest.mark.parametrize("kind, edit", [
+        pytest.param("ciphertext", lambda h: {**h, "user_id": h["user_id"] + 1}, id="user_id"),
+        pytest.param("ciphertext", lambda h: {**h, "round_id": 4}, id="round_id"),
+        pytest.param("ciphertext", lambda h: {**h, "type": "recovery_share"}, id="kind"),
+        pytest.param("recovery_share", lambda h: {**h, "user_id": h["user_id"] + 1},
+                     id="share-user_id"),
+    ])
+    def test_upload_header_must_match_its_sender(self, kind, edit):
+        with pytest.raises(ProtocolError, match="claims user"):
+            self.run(self.STATION, TamperingTransport(kind, edit))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

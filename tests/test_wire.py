@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobagg.harness.simulate import member_recover, member_submit
 from mobagg.privagg import (
     GroupView,
     ProtocolError,
@@ -25,6 +26,7 @@ from mobagg.privagg import (
     recovery_share,
     unframe,
 )
+from mobagg.sketch import make_params
 
 
 class TestFraming:
@@ -158,7 +160,34 @@ def _sample_frames():
     ]
 
 
+def _sketch_member():
+    """User 1 of a three-member sketch round, and valid frames addressed to it."""
+    rng = random.Random(8)
+    keys = {u: keygen(rng) for u in range(3)}
+    params = make_params(5, 0.9, 0.9)  # 2 rows of 4 counters
+    group = GroupView(
+        round_id=5,
+        member_ids=(0, 1, 2),
+        public_keys={u: k.public_bytes for u, k in keys.items()},
+        vector_length=params.table_size,
+        sketch_seeds=((1, 2), (3, 4)),
+    )
+    return keys[1], params, group, [encode_announcement(group), encode_recovery_request(5, [1, 2])]
+
+
+_MEMBER_KEY, _MEMBER_PARAMS, _MEMBER_VIEW, _MEMBER_FRAMES = _sketch_member()
+
+
+def _reannounce(seeds: object, length: object) -> bytes:
+    header, _ = unframe(_MEMBER_FRAMES[0])
+    return frame({**header, "sketch_seeds": seeds, "vector_length": length})
+
+
 _DECODERS = (unframe, decode_announcement, decode_vector_message, decode_recovery_request)
+_MEMBER_STEPS = (
+    lambda blob: member_submit(_MEMBER_KEY, 1, np.arange(5), _MEMBER_PARAMS, blob),
+    lambda blob: member_recover(_MEMBER_KEY, 1, _MEMBER_VIEW, blob),
+)
 
 
 def _raw_frame(head: bytes) -> bytes:
@@ -252,12 +281,18 @@ class TestHostileInput:
     @given(blob=st.one_of(
         st.binary(max_size=256),
         st.binary(max_size=64).map(_raw_frame),
-        st.tuples(st.sampled_from(_sample_frames()), st.integers(0, 2000)).map(
-            lambda fc: fc[0][: fc[1]]),
+        st.tuples(st.sampled_from(_sample_frames() + _MEMBER_FRAMES),
+                  st.integers(0, 2000)).map(lambda fc: fc[0][: fc[1]]),
         _headers.map(frame),
+        st.builds(
+            _reannounce,
+            _json | st.lists(st.lists(st.integers(-2**70, 2**70), max_size=3), max_size=3),
+            st.sampled_from([8, 4, 2**24]),
+        ),
     ))
     def test_arbitrary_bytes_decode_or_raise_protocol_error(self, blob):
-        for decode in _DECODERS:
+        # the decoders, and the member steps that act on what they decode
+        for decode in _DECODERS + _MEMBER_STEPS:
             try:
                 decode(blob)
             except ProtocolError:
