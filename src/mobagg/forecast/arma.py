@@ -23,16 +23,27 @@ the simplex search evaluates the objective thousands of times per fit. The
 kernel receives the same float64 arrays ``lfilter`` would hand it, so every
 float operation, and with it every fit, is unchanged; a test compares it with
 ``lfilter`` bit for bit.
+
+The simplex search is ``_nelder_mead``: the Nelder-Mead (1965) loop of SciPy's
+``_minimize_neldermead`` (SciPy 1.17, not adaptive, no bounds), restated on
+Python float lists. SciPy's wrapper and array bookkeeping cost more per
+evaluation than the objective does, and this loop walks the same path bit
+for bit: the same simplex, the same float operations in the same order, the
+same branches and budget. It orders the simplex with ``np.argsort``, as SciPy
+does: the 1e300 barrier makes ties common, NumPy's SIMD sorts on x86-64 may
+leave equal values out of index order, and a stable sort would then take
+another path. Tests run both searches side by side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import reduce
+from operator import add
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal._sigtools import _linear_filter
 
 _NUMERATOR = np.ones(1)
@@ -199,8 +210,117 @@ def _finish(y: np.ndarray, p: int, q: int, const: float, ar: np.ndarray,
     )
 
 
+class _BudgetSpent(Exception):
+    """Raised in place of an evaluation once ``maxfev`` have been made."""
+
+
+def _nelder_mead(
+    f: Callable[[list[float]], float],
+    x0: list[float],
+    xatol: float,
+    fatol: float,
+    maxfev: int,
+) -> tuple[list[float], float, int, bool]:
+    """Minimize ``f`` by SciPy's Nelder-Mead search, on Python floats.
+
+    Returns ``(x, fun, nfev, success)`` bit for bit as
+    ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` returns them with
+    ``xatol``, ``fatol`` and ``maxiter = maxfev``, as ``_minimize_neldermead``
+    runs in SciPy 1.17 without ``adaptive`` or bounds: the same simplex, the
+    same float operations in the same order, the same branches and
+    comparisons, and the same ``np.argsort`` sorts. ``f`` gets a list, which
+    it must not change, and must not return NaN. The iteration cap is left
+    out: every iteration evaluates ``f`` at least once after the N + 1
+    initial evaluations, so with ``maxiter = maxfev`` the evaluation cap
+    always binds first, and ``success`` is false exactly when it is reached.
+    """
+    n = len(x0)
+    nfev = 0
+
+    def call(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x)
+
+    sim = [list(x0)]
+    for k in range(n):
+        vertex = list(x0)
+        vertex[k] = 1.05 * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    # SciPy sorts here twice, in a finally block and after it. Both stay: an
+    # unstable sort is free to move ties even in sorted input. np.argsort of
+    # a list is np.array(list).argsort(); the method skips its wrapper.
+    for _ in range(2):
+        order = np.array(fsim).argsort().tolist()
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+
+    while nfev < maxfev:
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(fbest - v) <= fatol for v in fsim[1:])
+                and all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))):
+            break
+        # np.add.reduce over the rows: from +0.0, row by row
+        xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
+        worst = sim[-1]
+        try:
+            xr = [2 * b - w for b, w in zip(xbar, worst)]
+            fxr = call(xr)
+            if fxr < fbest:
+                xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                shrink = False
+                if fxr < fsim[-1]:
+                    xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                    fxc = call(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        shrink = True
+                else:
+                    xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                    fxcc = call(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (v - a) for a, v in zip(best, sim[j])]
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.array(fsim).argsort().tolist()
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+    return sim[0], fsim[0], nfev, nfev < maxfev
+
+
 def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
-    """Fit ARMA(p, q) by conditional sum of squares."""
+    """Fit ARMA(p, q) by conditional sum of squares.
+
+    Mixed models (q > 0) start from the OLS AR fit with zero MA terms and run
+    ``_nelder_mead``, SciPy's Nelder-Mead path without SciPy's per-call
+    overhead, with ``xatol=1e-6``, ``fatol=1e-10`` and at most 800 evaluations
+    per coefficient. Ties among simplex values are ordered as ``np.argsort``
+    orders them, so the fit depends on NumPy's sort as SciPy's search did.
+    Raises ``FitError`` carrying the best model when the budget runs out.
+    """
     y = np.asarray(getattr(series, "values", series), dtype=np.float64)
     _validate_series(y, p, q)
 
@@ -211,17 +331,15 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
     # Shrink an (unusual) explosive OLS start back inside the feasible set.
     while not _in_identifiable_region(ar0.tolist(), ()):
         ar0 = 0.9 * ar0
-    start = np.concatenate(([const0], ar0, np.zeros(q)))
+    start = [const0, *ar0.tolist(), *[0.0] * q]
 
     resp, lags = y[p:], _lag_views(y, p)
     den = np.ones(q + 1)
 
-    def objective(params: np.ndarray) -> float:
-        # Only per-evaluation work: one tolist() feeds the feasibility test
-        # and the lag loop, and den is refilled in place. The float operations
-        # and their order are those of css_innovations, so _finish reproduces
-        # the searched SSE exactly.
-        v = params.tolist()
+    def objective(v: list[float]) -> float:
+        # Only per-evaluation work: den is refilled in place. The float
+        # operations and their order are those of css_innovations, so _finish
+        # reproduces the searched SSE exactly.
         ar, ma = v[1 : 1 + p], v[1 + p :]
         if not _in_identifiable_region(ar, ma):
             return 1e300
@@ -230,26 +348,15 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
         sse = float(r @ r)
         return sse if math.isfinite(sse) else 1e300
 
-    result = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-6,
-            "fatol": 1e-10,
-            "maxiter": 800 * start.size,
-            "maxfev": 800 * start.size,
-        },
-    )
+    maxfev = 800 * len(start)
+    x, _, nfev, converged = _nelder_mead(objective, start, 1e-6, 1e-10, maxfev)
     model = _finish(
-        y, p, q,
-        float(result.x[0]),
-        np.asarray(result.x[1 : 1 + p]),
-        np.asarray(result.x[1 + p :]),
-        nfev=int(result.nfev),
+        y, p, q, x[0], np.array(x[1 : 1 + p]), np.array(x[1 + p :]), nfev=nfev,
     )
-    if not result.success:
-        raise FitError(f"simplex search did not converge: {result.message}", model)
+    if not converged:
+        raise FitError(
+            f"simplex search did not converge within {maxfev} evaluations", model,
+        )
     return model
 
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 import mobagg.forecast.arma as arma_mod
@@ -224,15 +225,13 @@ class TestFitArma:
     def test_non_convergence_carries_best_model(self, monkeypatch):
         y = ar1(0.5, 200, seed=21)
 
-        real_minimize = arma_mod.minimize
+        real_nelder_mead = arma_mod._nelder_mead
 
-        def fail(*args, **kwargs):
-            result = real_minimize(*args, **kwargs)
-            result.success = False
-            result.message = "forced"
-            return result
+        def fail(*args):
+            x, fun, nfev, _ = real_nelder_mead(*args)
+            return x, fun, nfev, False
 
-        monkeypatch.setattr(arma_mod, "minimize", fail)
+        monkeypatch.setattr(arma_mod, "_nelder_mead", fail)
         with pytest.raises(FitError) as info:
             fit_arma(y, 1, 1)
         assert isinstance(info.value.model, ArmaModel)
@@ -272,6 +271,113 @@ class TestFrozenFits:
 
     def test_ols_fit_has_no_evaluations(self):
         assert fit_arma(ar1(0.5, 200, seed=21), 2, 0).nfev == 0
+
+
+def quadratic(n, seed):
+    """A seeded positive-definite quadratic in n variables and a start for it."""
+    rng = np.random.default_rng([n, seed])
+    m = rng.normal(size=(n, n))
+    a = (m @ m.T + n * np.eye(n)).tolist()
+    center = rng.normal(size=n).tolist()
+
+    def f(x):
+        d = [v - c for v, c in zip(x, center)]
+        total = 0.0
+        for row, di in zip(a, d):
+            for aij, dj in zip(row, d):
+                total += aij * di * dj
+        return total
+
+    return f, rng.normal(size=n).tolist()
+
+
+def boxed(n, seed):
+    """A distance to a point inside the box |x_i| < 1, and 1e300 outside it.
+
+    The start lies near a corner, so the simplex straddles the wall and its
+    values tie at 1e300.
+    """
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-0.9, 0.9, n).tolist()
+    start = (rng.uniform(0.9, 0.99, n) * rng.choice([-1, 1], n)).tolist()
+
+    def f(x):
+        if any(abs(v) >= 1.0 for v in x):
+            return 1e300
+        total = 0.0
+        for v, c in zip(x, center):
+            total += (v - c) ** 2
+        return total
+
+    return f, start
+
+
+class TestNelderMead:
+    """``_nelder_mead`` walks the path of SciPy's Nelder-Mead bit for bit.
+
+    Each search runs under ``fit_arma``'s options beside
+    ``scipy.optimize.minimize(method="Nelder-Mead")``; ``x``, ``fun``,
+    ``nfev`` and ``success`` must be equal to the bit.
+    """
+
+    @staticmethod
+    def assert_same_search(f, x0, maxfev=None):
+        maxfev = 800 * len(x0) if maxfev is None else maxfev
+        x, fun, nfev, success = arma_mod._nelder_mead(f, list(x0), 1e-6, 1e-10, maxfev)
+        ref = minimize(
+            lambda v: f(v.tolist()), np.array(x0, dtype=np.float64), method="Nelder-Mead",
+            options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": maxfev, "maxfev": maxfev},
+        )
+        assert [v.hex() for v in x] == [float(v).hex() for v in ref.x]
+        assert float(fun).hex() == float(ref.fun).hex()
+        assert (nfev, success) == (ref.nfev, ref.success)
+        return nfev
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quadratic(self, n, seed):
+        f, x0 = quadratic(n, seed)
+        self.assert_same_search(f, x0)
+
+    # (n, seed) where Python's stable sort of the simplex values sends the
+    # search down another path than np.argsort on AVX2 and AVX-512 hosts
+    @pytest.mark.parametrize("n, seed", [(4, 0), (4, 6), (5, 9), (5, 14), (6, 4), (6, 6)])
+    def test_plateau_ties(self, n, seed):
+        f, x0 = boxed(n, seed)
+        self.assert_same_search(f, x0)
+
+    @pytest.mark.parametrize("x0", [
+        [0.0, 0.0], [0.0, 1.5, -0.0], [2.0, -0.0, 0.0, -1.0], [0.0] * 6,
+    ])
+    def test_zero_start_entries(self, x0):
+        f, _ = quadratic(len(x0), 7)
+        self.assert_same_search(f, x0)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_evaluation_budget(self, n):
+        f, x0 = quadratic(n, 11)
+        for maxfev in (1, n, n + 1, n + 2):
+            assert self.assert_same_search(f, x0, maxfev) == maxfev
+        g, y0 = boxed(n, 3)
+        for maxfev in (1, n, n + 1, n + 2):
+            assert self.assert_same_search(g, y0, maxfev) == maxfev
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_fit_arma_objectives(self, p, q, monkeypatch):
+        searches = []
+        real_nelder_mead = arma_mod._nelder_mead
+
+        def spy(f, x0, xatol, fatol, maxfev):
+            searches.append((f, list(x0), xatol, fatol, maxfev))
+            return real_nelder_mead(f, x0, xatol, fatol, maxfev)
+
+        monkeypatch.setattr(arma_mod, "_nelder_mead", spy)
+        y = arma_series((0.5, -0.2, 0.1)[:p], (0.4, 0.2)[:q], 120, 40 + 2 * p + q)
+        model = fit_arma(y, p, q)
+        (f, x0, xatol, fatol, maxfev), = searches
+        assert (xatol, fatol, maxfev) == (1e-6, 1e-10, 800 * (1 + p + q))
+        assert self.assert_same_search(f, x0, maxfev) == model.nfev
 
 
 class TestSelectOrder:
