@@ -104,7 +104,9 @@ def collect_aggregate_series(
 
     ``targets`` is the ground truth each epoch's user population realizes;
     with no dropouts the recovered counts equal it exactly, with dropouts
-    they cover online users only.
+    they cover online users only. One call is one key set: its cohort gets
+    fresh keys, so every round of the call meets the same groups, and each
+    member exchanges with each group peer once, in the first round it submits.
     """
     if targets.n_rois != sim.plain_length():
         raise ValueError(

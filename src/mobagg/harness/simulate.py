@@ -1,7 +1,10 @@
 """End-to-end simulation of aggregation rounds with exact byte accounting.
 
 Members and the aggregator meet only in frames. ``simulate_round`` routes
-them: it assigns groups, sends each group's announcement through the
+them: it assigns groups, seeded by SHA-256 over the cohort's public keys in
+user-id order, so every round over one key set meets the same groups and a
+re-keyed cohort is partitioned afresh (each member then exchanges with each
+group peer once per key set). It sends each group's announcement through the
 transport, hands every online member the bytes the transport delivered to
 it, aggregates the ciphertext frames that come back and, when members drop
 out, routes the recovery request and shares the same way. A member step
@@ -15,6 +18,7 @@ round; a mismatch is a fatal protocol bug, not a statistic.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from dataclasses import dataclass
@@ -251,7 +255,8 @@ def simulate_round(
     ``user_vectors`` is (n_users, plain_length) of non-negative counts; each
     member reads only its own row. The returned values cover only the users
     that stayed online; each group's aggregate is verified against the
-    plaintext oracle and a disagreement raises OracleMismatch.
+    plaintext oracle and a disagreement raises OracleMismatch. ``rng`` draws
+    the round's sketch seeds and dropouts; the groups come from ``keys``.
     """
     t0 = time.perf_counter()
     bus = transport or InProcessTransport()
@@ -269,8 +274,11 @@ def simulate_round(
         seeds = cms.draw_seeds(params.depth, rng)
     length = config.vector_length()
 
+    # The groups follow the cohort's key set, not the round.
+    key_set = b"".join(keys[uid].public_bytes for uid in range(config.n_users))
     memberships = assign_groups(
-        list(range(config.n_users)), config.group_size, config.threshold, rng
+        list(range(config.n_users)), config.group_size, config.threshold,
+        random.Random(hashlib.sha256(key_set).digest()),
     )
     if not memberships:
         report = RoundReport(

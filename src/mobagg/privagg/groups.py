@@ -1,4 +1,9 @@
-"""Random assignment of a user cohort into aggregation groups."""
+"""Random assignment of a user cohort into aggregation groups.
+
+The caller's ``rng`` alone decides the partition. The simulated rounds seed
+it from the cohort's key set, so a partition lasts as long as the keys do:
+each member then exchanges with each group peer once per key set.
+"""
 
 from __future__ import annotations
 

@@ -11,8 +11,9 @@ Danezis and Kohlweiss, "Privacy-Friendly Aggregation for the Smart-Grid"
 (PETS 2011). Each ``KeyPair`` keeps those pair keys in its own table, keyed
 by the peer's announced public key; ``masking`` fills it on first use. The
 table holds shared secrets and is as sensitive as the private key. It grows
-by one key per distinct peer key the member is announced, which under the
-honest-but-curious model is at most the cohort.
+by one key per distinct peer key the member is announced. The groups of a
+simulated round follow the cohort's key set, so under the honest-but-curious
+model the table holds at most the member's group peers.
 """
 
 from __future__ import annotations

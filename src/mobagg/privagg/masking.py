@@ -12,8 +12,9 @@ round id), as in the long-term pair keys of Kursawe, Danezis and Kohlweiss,
 live in the ``KeyPair``'s own table, keyed by the peer's announced public
 key, so a re-keyed peer gets a fresh exchange. That table holds shared
 secrets, as sensitive as the private key, and grows by one key per
-distinct peer key the member is announced: at most the cohort under the
-threat model below. Each member adds the
+distinct peer key the member is announced. Groups last as long as the
+cohort's key set, so under the threat model below the table holds at most
+the member's group peers. Each member adds the
 mask stream toward higher-positioned members and subtracts it toward
 lower-positioned ones, so the streams cancel exactly in the group sum:
 
@@ -31,11 +32,16 @@ nothing about its plaintext without the matching mask stream.
 Threat model: the aggregator is honest but curious. It follows the protocol
 and, in particular, reports the true online set when it asks for recovery
 shares; under that assumption it learns the sum over the online members and
-nothing else. In a simulated round members decode every frame themselves
-(``harness.simulate.member_submit`` and ``member_recover``): the group view,
-the sketch seeds and the online list they act on come from the announcement
-and recovery-request frames they received, and a frame that does not fit
-raises ProtocolError. That does not close the false-offline leak: an aggregator
+nothing else. The group partition is a public function of the cohort's key
+set (``harness.simulate``), so the aggregator sees sums over the same groups
+every round of a key set, never sums over reshuffled partitions that it
+could difference against each other. An honest-but-curious aggregator
+chooses the partition anyway; one that packs a group with members it
+controls is a malicious aggregator, outside this model. In a simulated round
+members decode every frame themselves (``harness.simulate.member_submit``
+and ``member_recover``): the group view, the sketch seeds and the online
+list they act on come from the announcement and recovery-request frames
+they received, and a frame that does not fit raises ProtocolError. That does not close the false-offline leak: an aggregator
 that declares a member offline after receiving its ciphertext collects that
 member's whole mask from the others' recovery shares and so learns its
 plaintext. Closing that gap needs double masking (Bonawitz et al. 2017),

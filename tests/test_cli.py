@@ -462,22 +462,30 @@ class TestSimulateCli:
             tmp_path / "b" / "rounds.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("argv, digest", [
+    @pytest.mark.parametrize("argv, digest, recovers", [
         (["--n-stations", "6"],
-         "46191348a7881fba094472123f74e0abe682d230061df81fd280ebe69163461c"),
+         "45778f4b274b5de0571c18b633b13a77cd82bc4a0bddae09d3a8f57cb856fd26", False),
         (["--mode", "sketch", "--dropout", "0.1"],
-         "8686550e4236c98b9069731089d05c6ac149ade10f28fb7898f1f31c82218891"),
+         "2ccd1d97f7e65b9af9cca9a0ae1f8e79b52e9c2a8662a8a84eab91285e36d281", True),
     ], ids=["station", "sketch-dropout"])
-    def test_rounds_report_is_frozen(self, tmp_path, argv, digest):
-        # Taken while the pair streams came from SHAKE-256: the report holds
-        # sizes, recoveries and oracle verdicts, never a mask word, so no
-        # choice of PRG may move a byte of it. The sketch run recovers.
+    def test_rounds_report_is_frozen(self, tmp_path, argv, digest, recovers):
+        # The report holds sizes, recoveries and oracle verdicts, never a mask
+        # word, so no choice of PRG may move a byte of it. Re-frozen when the
+        # groups began to follow the cohort's key set instead of the round:
+        # user-id digits in the announcement and upload headers now land in
+        # other groups, which moves the per-group byte counts, and at dropout
+        # the round rng draws other members offline. Group sizes, payload
+        # sizes and verdicts did not move.
         code = main(
             ["--seed", "7", "--out", str(tmp_path), "simulate", "--users", "12",
              "--group-size", "4", "--rounds", "2"] + argv
         )
         assert code == 0
-        assert hashlib.sha256((tmp_path / "rounds.csv").read_bytes()).hexdigest() == digest
+        report = tmp_path / "rounds.csv"
+        with report.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert any(row["recovery_invoked"] == "1" for row in rows) == recovers
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     def test_tcp_transport_runs(self, tmp_path):
         code = main(

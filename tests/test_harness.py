@@ -8,6 +8,7 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +57,14 @@ from mobagg.privagg import (
     KeyPair,
     ProtocolError,
     VectorMessage,
+    decode_announcement,
     encode_announcement,
     encode_vector_message,
     frame,
+    keygen,
     unframe,
 )
-from mobagg.timeseries import deseasonalize, seasonal_profile
+from mobagg.timeseries import EpochSpec, deseasonalize, seasonal_profile
 
 
 class TestSynthesizeUsers:
@@ -83,6 +86,27 @@ class TestSynthesizeUsers:
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
             synthesize_users([-1], 5, random.Random(4))
+
+
+class RecordingTransport(InProcessTransport):
+    """Delivers every frame unchanged and decodes each announcement it carries."""
+
+    def __init__(self):
+        super().__init__()
+        self.views = []
+
+    def deliver(self, blob, direction):
+        blob = super().deliver(blob, direction)
+        if unframe(blob)[0]["type"] == "round":
+            self.views.append(decode_announcement(blob))
+        return blob
+
+    def partitions(self):
+        """Each announced round id's groups, as a set of member-id tuples."""
+        groups = {}
+        for view in self.views:
+            groups.setdefault(view.round_id, set()).add(view.member_ids)
+        return groups
 
 
 class TestSimulateRound:
@@ -150,6 +174,7 @@ class TestSimulateRound:
         cfg = SimConfig(n_users=12, group_size=4, threshold=2, mode="station",
                         n_stations=3, dropout_rate=0.3)
         vecs = np.random.default_rng(2).integers(0, 4, size=(12, 6))
+        bus = RecordingTransport()
         runs = []
         for cold in (False, True):
             rng = random.Random(11)
@@ -158,7 +183,7 @@ class TestSimulateRound:
             for round_id in range(5):
                 if cold:
                     keys = {uid: KeyPair(k.private_bytes) for uid, k in keys.items()}
-                outcomes.append(simulate_round(cfg, vecs, keys, round_id, rng))
+                outcomes.append(simulate_round(cfg, vecs, keys, round_id, rng, bus))
             runs.append((keys, outcomes))
         (warm_keys, warm), (_, cold) = runs
         assert any(o.report.recovery_invoked for o in warm)
@@ -168,7 +193,8 @@ class TestSimulateRound:
             assert a.online_users == b.online_users
             assert a.report.upload_bytes == b.report.upload_bytes
             assert a.report.download_bytes == b.report.download_bytes
-        assert max(len(k._pair_keys) for k in warm_keys.values()) <= cfg.n_users - 1
+        group_of = {uid: group for group in bus.partitions()[0] for uid in group}
+        assert all(len(k._pair_keys) <= len(group_of[uid]) - 1 for uid, k in warm_keys.items())
 
     def test_population_below_threshold_skips(self):
         cfg = SimConfig(n_users=2, group_size=2, threshold=3, mode="station", n_stations=2)
@@ -227,6 +253,63 @@ class TestSimulateRound:
     def test_od_mode_vector_is_station_squared(self):
         cfg = SimConfig(n_users=4, group_size=2, threshold=2, mode="od", n_stations=7)
         assert cfg.plain_length() == 49
+
+
+class TestKeyEpochGroups:
+    """The partition follows the cohort's key set: every round over one key
+    set meets the same groups, so each member exchanges with each peer once."""
+
+    CFG = SimConfig(n_users=12, group_size=4, threshold=2, mode="station",
+                    n_stations=3, dropout_rate=0.3)
+    VECS = np.random.default_rng(4).integers(0, 4, size=(12, 6))
+
+    def run(self, keys, rounds, seed=3):
+        bus, rng = RecordingTransport(), random.Random(seed)
+        outcomes = [simulate_round(self.CFG, self.VECS, keys, r, rng, bus) for r in range(rounds)]
+        return bus.partitions(), outcomes
+
+    def test_one_key_set_keeps_its_groups(self):
+        partitions, outcomes = self.run(setup_users(12, random.Random(1)), 5)
+        assert len(partitions) == 5
+        first = partitions[0]
+        assert all(partition == first for partition in partitions.values())
+        assert len(first) == 3
+        assert sorted(uid for group in first for uid in group) == list(range(12))
+        assert any(o.report.recovery_invoked for o in outcomes)
+
+    def test_rekeyed_member_changes_the_partition(self):
+        keys = setup_users(12, random.Random(1))
+        before, _ = self.run(keys, 1)
+        after, _ = self.run({**keys, 5: keygen(random.Random(99))}, 1)
+        assert before[0] != after[0]
+
+    def test_same_seed_same_groups_and_outcomes(self):
+        pa, oa = self.run(setup_users(12, random.Random(1)), 3)
+        pb, ob = self.run(setup_users(12, random.Random(1)), 3)
+        assert pa == pb
+        for a, b in zip(oa, ob):
+            assert np.array_equal(a.transported, b.transported)
+            assert np.array_equal(a.values, b.values)
+            assert a.online_users == b.online_users
+            assert replace(a.report, duration_s=0.0) == replace(b.report, duration_s=0.0)
+
+    def test_collect_call_exchanges_once_per_peer(self, monkeypatch):
+        # the collect benchmark's cohort and call: 200 users in 4 groups of
+        # 50 over 8 epochs leave 200 x 49 pair keys, all from the first round
+        made = []
+
+        def recording_setup(n_users, rng):
+            made.append(setup_users(n_users, rng))
+            return made[-1]
+
+        monkeypatch.setattr(pipeline_mod, "setup_users", recording_setup)
+        sim = SimConfig(n_users=200, group_size=50, threshold=2, mode="station", n_stations=5)
+        targets = synthetic_counts(10, 1, np.random.default_rng(4242), max_count=30)
+        block = SeriesSet(targets.counts[:, :8], EpochSpec(targets.epochs.start, 8))
+        aggregates, _ = collect_aggregate_series(block, sim, random.Random(4242))
+        assert np.array_equal(aggregates.counts, block.counts)
+        (keys,) = made
+        assert sum(len(k._pair_keys) for k in keys.values()) == 200 * 49 == 9800
 
 
 class TamperingTransport(InProcessTransport):
