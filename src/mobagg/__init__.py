@@ -10,18 +10,9 @@ Subpackages: ``privagg`` (masking protocol), ``forecast`` (models and
 scans), ``harness`` (simulation, pipeline, CLI). Modules: ``ingest``
 (raw records to count series), ``timeseries`` (epochs, profiles, tests),
 ``sketch`` (Count-Min).
+
+Importing the package imports none of them: the protocol side needs only
+NumPy and cryptography, and only ``forecast`` loads SciPy.
 """
 
-from . import forecast, harness, ingest, privagg, sketch, timeseries
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "forecast",
-    "harness",
-    "ingest",
-    "privagg",
-    "sketch",
-    "timeseries",
-    "__version__",
-]

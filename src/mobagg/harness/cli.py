@@ -25,14 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .. import sketch as cms
-from ..forecast import (
-    FitError,
-    rank_anomalies,
-    rolling_scan,
-    write_anomaly_report,
-    write_forecast_report,
-    write_model_dump,
-)
 from ..ingest import (
     GridSpec,
     ParseFailure,
@@ -44,7 +36,6 @@ from ..ingest import (
     write_series_csv,
 )
 from ..timeseries import EPOCHS_PER_DAY, EpochSpec, deseasonalize, seasonal_profile
-from .pipeline import aic_orders, analyze_rois, enhance_roi, write_enhancement_report
 from .reports import (
     format_overhead_table,
     overhead_report,
@@ -123,6 +114,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    from ..forecast import FitError, rolling_scan, write_forecast_report, write_model_dump
+    from .pipeline import aic_orders
+
     out = _out_dir(args)
     series_set = _load_series(args)
     series = series_set.series(args.roi)
@@ -151,6 +145,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_anomalies(args: argparse.Namespace) -> int:
+    from ..forecast import rank_anomalies, write_anomaly_report
+    from .pipeline import analyze_rois
+
     out = _out_dir(args)
     series_set = _load_series(args)
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
@@ -170,6 +167,9 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
 
 
 def cmd_enhance(args: argparse.Namespace) -> int:
+    from ..forecast import rolling_scan, write_enhancement_report
+    from .pipeline import aic_orders, enhance_roi
+
     out = _out_dir(args)
     series_set = _load_series(args)
     if series_set.n_rois < 2:
@@ -367,6 +367,17 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """What ``main`` reports as exit code 1.
+
+    ``FitError`` joins once the analytics loaded ``forecast.arma``, the only
+    code that raises it, so the protocol commands never import it.
+    """
+    errors = (ValueError, FileNotFoundError, ParseFailure)
+    arma = sys.modules.get("mobagg.forecast.arma")
+    return errors if arma is None else (*errors, arma.FitError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # config JSON supplies defaults; anything passed explicitly still wins
@@ -388,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FitError, FileNotFoundError, ParseFailure) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -5,6 +5,17 @@ touches per-user data and runs one aggregation round per epoch;
 ``analyze_aggregates`` takes only the recovered count matrix. Analytics can
 never see an individual vector because no interface carries one across the
 seam.
+
+The seam is also an import boundary: importing this module loads the
+protocol and NumPy but not ``mobagg.forecast``, and so not SciPy, which only
+the analytics use. The forecast functions the analytics call
+(``_ANALYTICS``) bind as globals of this module on first analytics use, through
+``_analytics()`` at the top of each analytics entry point, or on first
+attribute access through the module ``__getattr__``. They are globals, not
+local imports, because callers look them up here: the benchmark's tracer
+wraps them on this module, and tests replace ``rolling_scan`` on it.
+``analyze_rois`` binds them before it forks, so the workers inherit SciPy
+instead of each importing it again.
 """
 
 from __future__ import annotations
@@ -18,24 +29,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..forecast import (
-    AnomalyEvent,
-    EnhancedForecast,
-    RollingForecast,
-    correlated_rois,
-    detect_anomalies,
-    enhanced_forecast,
-    rank_anomalies,
-    rolling_scan,
-    select_order,
-    write_anomaly_report,
-    write_enhancement_report,
-    write_forecast_report,
-)
 from ..ingest import SeriesSet
 from ..timeseries import (
     EPOCHS_PER_DAY,
@@ -48,6 +45,44 @@ from ..timeseries import (
 from .simulate import RoundReport, SimConfig, setup_users, simulate_round, synthesize_users
 from .synth import synthetic_counts
 from .transport import InProcessTransport
+
+if TYPE_CHECKING:
+    from ..forecast import AnomalyEvent, EnhancedForecast, RollingForecast
+
+_ANALYTICS = (
+    "correlated_rois",
+    "detect_anomalies",
+    "enhanced_forecast",
+    "rank_anomalies",
+    "rolling_scan",
+    "select_order",
+    "write_anomaly_report",
+    "write_enhancement_report",
+    "write_forecast_report",
+)
+
+
+def _analytics() -> None:
+    """Bind the ``_ANALYTICS`` names from ``mobagg.forecast``, once.
+
+    A name already bound stays as it is, so a wrapper set on this module
+    before the first analytics call is not replaced.
+    """
+    if all(name in globals() for name in _ANALYTICS):
+        return
+    from .. import forecast
+
+    for name in _ANALYTICS:
+        globals().setdefault(name, getattr(forecast, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: only the late names; any other miss stays an AttributeError,
+    # so ``from`` imports probing ``__path__`` do not load SciPy
+    if name not in _ANALYTICS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _analytics()
+    return globals()[name]
 
 
 def _check_scan_window(scan_start_day: int, train_days: int, calibration_days: int) -> None:
@@ -153,6 +188,7 @@ def aic_orders(values: np.ndarray, day: int, train_days: int = 5) -> tuple[int, 
     training window before ``day``. ``values`` are what the scan fits:
     de-seasonalized counts, or raw ones for a black-box forecast.
     """
+    _analytics()
     lo, hi = (day - train_days) * EPOCHS_PER_DAY, day * EPOCHS_PER_DAY
     if lo < 0 or hi > len(values):
         raise ValueError(f"the {train_days}-day window before day {day} is outside the series")
@@ -179,6 +215,7 @@ def analyze_roi(
     so ``analyze_rois`` can run it in a worker process; ``seconds`` on the
     result times this call there.
     """
+    _analytics()
     t0 = time.perf_counter()
     _check_scan_window(start_day, train_days, calibration_days)
     if n_days < 1:
@@ -237,6 +274,7 @@ def analyze_rois(
     map runs in-process. A worker's exception reaches the caller with its
     type and message.
     """
+    _analytics()
     _check_scan_window(start_day, train_days, calibration_days)
     if n_days < 1:
         raise ValueError("the anomaly scan needs at least one day")
@@ -265,6 +303,7 @@ def enhance_roi(
     ``baseline`` is the target's one-day slice of a rolling scan, so that
     day is not fitted again. (None, ()) when no ROI correlates.
     """
+    _analytics()
     by_id = {s.roi_id: s for s in deseasonalized}
     target = by_id[baseline.roi_id]
     matches = correlated_rois(target, deseasonalized, max_lag_epochs=max_lag, top_k=top_k)
@@ -287,6 +326,7 @@ def analyze_aggregates(
     The per-ROI scans run through ``analyze_rois``, one worker process per
     available CPU; the reports are byte-identical to an in-process run.
     """
+    _analytics()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_days = aggregates.epochs.n_epochs // EPOCHS_PER_DAY

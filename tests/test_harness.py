@@ -403,13 +403,71 @@ class TestHostileRound:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*argv, timeout):
+def run_python(*argv, timeout):
+    """A fresh interpreter with ``src`` on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mobagg.harness.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_cli(*argv, timeout):
+    return run_python("-m", "mobagg.harness.cli", *argv, timeout=timeout)
+
+
+# makes every import of SciPy fail, as on a host without it
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+class TestImportSeam:
+    """The protocol side imports no analytics, and the analytics no protocol."""
+
+    def test_simulate_runs_without_scipy(self, tmp_path):
+        run_module = "import runpy; runpy.run_module('mobagg.harness.cli', run_name='__main__')"
+        result = run_python(
+            "-c", NO_SCIPY + run_module,
+            "--out", str(tmp_path), "simulate", "--rounds", "1", "--users", "4",
+            "--group-size", "2", "--threshold", "2", "--n-stations", "2",
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "rounds.csv").is_file()
+
+    @pytest.mark.parametrize("modules, absent", [
+        pytest.param(
+            # what perfbench/workloads.py imports of the package
+            ["mobagg.ingest", "mobagg.harness.pipeline", "mobagg.harness.simulate",
+             "mobagg.harness.synth", "mobagg.harness.transport", "mobagg.timeseries"],
+            ["scipy", "mobagg.forecast"],
+            id="protocol-side",
+        ),
+        pytest.param(
+            ["mobagg.forecast", "mobagg.timeseries", "mobagg.ingest"],
+            ["mobagg.privagg", "mobagg.harness.simulate"],
+            id="analytics-side",
+        ),
+    ])
+    def test_imports_stay_on_their_side(self, modules, absent):
+        # a from-import, as in ``from name import __doc__``, probes ``__path__``
+        code = (
+            f"import sys\n"
+            f"for name in {modules!r}: __import__(name, fromlist=['__doc__'])\n"
+            f"print([name for name in {absent!r} if name in sys.modules])"
+        )
+        result = run_python("-c", code, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestTcpTransport:
@@ -790,6 +848,33 @@ class TestAnalyzeRois:
             analyze_rois(series, 11, 4)
         with pytest.raises(ValueError, match="at least one day"):
             analyze_rois(series, 12, 0)
+
+    def test_scipy_is_loaded_before_the_fork(self):
+        # workers forked before the import would each import SciPy again
+        code = """
+import sys
+import numpy as np
+from mobagg.harness import pipeline
+from mobagg.harness.synth import synthetic_counts
+
+class Forked(Exception):
+    pass
+
+def no_pool(*args, **kwargs):
+    raise Forked("scipy.signal" in sys.modules)
+
+pipeline.ProcessPoolExecutor = no_pool
+pipeline._worker_count = lambda n: min(2, n)
+counts = synthetic_counts(3, 3, np.random.default_rng(3))
+print("before", "scipy.signal" in sys.modules)
+try:
+    pipeline.analyze_rois([counts.series(r) for r in range(3)], 12, 9)
+except Forked as fork:
+    print("at fork", fork.args[0])
+"""
+        result = run_python("-c", code, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["before False", "at fork True"]
 
     def test_one_worker_per_cpu_at_most_one_per_roi(self):
         assert threading.active_count() == 1
