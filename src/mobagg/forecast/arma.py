@@ -321,7 +321,7 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
     orders them, so the fit depends on NumPy's sort as SciPy's search did.
     Raises ``FitError`` carrying the best model when the budget runs out.
     """
-    y = np.asarray(getattr(series, "values", series), dtype=np.float64)
+    y = np.asarray(series, dtype=np.float64)
     _validate_series(y, p, q)
 
     const0, ar0 = _ols_ar(y, p)
@@ -376,7 +376,7 @@ def select_order(
     """
     if max_p < 0 or max_q < 0:
         raise ValueError("orders must be non-negative")
-    y = np.asarray(getattr(series, "values", series), dtype=np.float64)
+    y = np.asarray(series, dtype=np.float64)
     _validate_series(y, 0, 0)
     best_key: tuple[float, int, int] | None = None
     best_orders: Tuple[int, int] = (0, 0)

@@ -77,7 +77,7 @@ def enhanced_forecast(
     p_var = max(1, min(3, baseline.orders[0]))
 
     try:
-        model = fit_var([data[w0:w1, j] for j in range(data.shape[1])], p_var)
+        model = fit_var(data[w0:w1], p_var)
         history = list(data[w0:w1])
         preds = np.empty(epd)
         for slot, t in enumerate(range(w1, w1 + epd)):

@@ -10,7 +10,6 @@ matrix, which is what makes per-equation fitting equivalent to the joint fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,19 +28,6 @@ class VarModel:
     n_obs: int
 
 
-def _stack(series_set: Sequence) -> np.ndarray:
-    cols = []
-    for s in series_set:
-        v = np.asarray(getattr(s, "values", s), dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("each series must be one-dimensional")
-        cols.append(v)
-    lengths = {c.size for c in cols}
-    if len(lengths) != 1:
-        raise ValueError(f"series lengths differ: {sorted(lengths)}")
-    return np.column_stack(cols)
-
-
 def lagged_design(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Response rows y_t and regressors [1, y_{t-1}, ..., y_{t-p}] for t >= p."""
     n, k = data.shape
@@ -53,11 +39,11 @@ def lagged_design(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return data[p:], X
 
 
-def fit_var(series_set: Sequence, p: int) -> VarModel:
-    """Fit VAR(p) over two or more aligned series."""
+def fit_var(data: np.ndarray, p: int) -> VarModel:
+    """Fit VAR(p) over the ``(n, k)`` matrix of two or more aligned series."""
     if p < 1:
         raise ValueError("VAR order must be >= 1")
-    data = _stack(series_set)
+    data = np.asarray(data, dtype=np.float64)
     n, k = data.shape
     if k < 2:
         raise ValueError("VAR needs at least two series; fit an ARMA model for one")

@@ -54,11 +54,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _load_series(args: argparse.Namespace):
-    series_set, _ = read_series_csv(args.series)
-    return series_set
-
-
 def _orders(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
@@ -118,9 +113,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     from .pipeline import aic_orders
 
     out = _out_dir(args)
-    series_set = _load_series(args)
+    series_set = read_series_csv(args.series)
     series = series_set.series(args.roi)
-    profile = None if args.raw else seasonal_profile(series, truncate=True)
+    profile = None if args.raw else seasonal_profile(series)
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     test_day = args.test_day if args.test_day is not None else n_days - 1
     orders = _orders(args.orders)
@@ -149,7 +144,7 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
     from .pipeline import analyze_rois
 
     out = _out_dir(args)
-    series_set = _load_series(args)
+    series_set = read_series_csv(args.series)
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     days = args.days if args.days is not None else n_days - args.start_day
     rois = range(series_set.n_rois) if args.roi is None else [args.roi]
@@ -171,12 +166,12 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     from .pipeline import aic_orders, enhance_roi
 
     out = _out_dir(args)
-    series_set = _load_series(args)
+    series_set = read_series_csv(args.series)
     if series_set.n_rois < 2:
         raise ValueError("enhancement needs at least two ROIs in the series file")
     target = series_set.series(args.target)
     every = [series_set.series(r) for r in range(series_set.n_rois)]
-    profiles = [seasonal_profile(s, truncate=True) for s in every]
+    profiles = [seasonal_profile(s) for s in every]
     d_all = [deseasonalize(s, p) for s, p in zip(every, profiles)]
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     test_day = args.test_day if args.test_day is not None else n_days - 1

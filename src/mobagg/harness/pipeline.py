@@ -37,7 +37,6 @@ from ..ingest import SeriesSet
 from ..timeseries import (
     EPOCHS_PER_DAY,
     RoiTimeSeries,
-    SeasonalProfile,
     adf_stationary,
     deseasonalize,
     seasonal_profile,
@@ -163,7 +162,7 @@ def collect_aggregate_series(
 
 @dataclass(frozen=True)
 class RoiAnalysis:
-    """One ROI's profile, rolling scan and 3-sigma events.
+    """One ROI's de-seasonalized series, rolling scan and 3-sigma events.
 
     ``scan`` runs from the first calibration day through the last scanned
     day; (mu, sigma) come from its calibration slots, ``events`` from the rest.
@@ -171,7 +170,6 @@ class RoiAnalysis:
     measured in the process that ran it.
     """
 
-    profile: SeasonalProfile
     deseasonalized: RoiTimeSeries
     scan: RollingForecast
     mu: float
@@ -220,7 +218,7 @@ def analyze_roi(
     _check_scan_window(start_day, train_days, calibration_days)
     if n_days < 1:
         raise ValueError("the anomaly scan needs at least one day")
-    profile = seasonal_profile(series, truncate=True)
+    profile = seasonal_profile(series)
     deseasonalized = deseasonalize(series, profile)
     if orders is None:
         orders = aic_orders(deseasonalized.values, start_day, train_days)
@@ -239,9 +237,7 @@ def analyze_roi(
                 roi_id=series.roi_id, epoch_offset=int(scan.epoch_indices[split]),
             )
         )
-    return RoiAnalysis(
-        profile, deseasonalized, scan, mu, sigma, events, time.perf_counter() - t0,
-    )
+    return RoiAnalysis(deseasonalized, scan, mu, sigma, events, time.perf_counter() - t0)
 
 
 def _worker_count(n_rois: int) -> int:
@@ -338,7 +334,9 @@ def analyze_aggregates(
         calibration_days=config.calibration_days,
         orders=config.arma_orders,
     )
-    stationary = {r: adf_stationary(a.deseasonalized).stationary for r, a in enumerate(analyses)}
+    stationary = {
+        r: adf_stationary(a.deseasonalized.values).stationary for r, a in enumerate(analyses)
+    }
     scans = {r: a.scan.days(config.scan_start_day, scan_days) for r, a in enumerate(analyses)}
     # the forecast report covers the last day, where every scan ends
     forecasts = {r: a.scan.days(n_days - 1, 1) for r, a in enumerate(analyses)}

@@ -2,9 +2,11 @@
 
 Two record shapes are supported: station trips (smart-card taps with a start
 and end station) and GPS points (vehicle positions snapped to a rectangular
-grid). Both reduce to integer count matrices over a shared epoch grid. Row
-parsing is lenient by default: bad rows are collected with their line numbers
-instead of aborting the file.
+grid). Both reduce to integer count matrices over a shared hourly epoch grid
+(``timeseries.EpochSpec``). Trip timestamps are naive wall clock, and one
+that carries a UTC offset is a bad row; GPS unix times are read as UTC, so a
+file bins the same on every host. Row parsing is lenient by default: bad rows
+are collected with their line numbers instead of aborting the file.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .timeseries import EpochSpec, RoiTimeSeries
+from .timeseries import EPOCH_SECONDS, EpochSpec, RoiTimeSeries
 
 #: Cell id for coordinates outside the grid; a value, not an error.
 OUT_OF_GRID = -1
+
+_UNIX_EPOCH = datetime(1970, 1, 1)
 
 TRIP_FIELDS = ("card_id", "start_time", "start_station", "end_time", "end_station")
 GPS_FIELDS = ("cab_id", "lat", "lon", "unix_time")
@@ -58,8 +62,6 @@ class TripRecord:
     def __post_init__(self) -> None:
         if self.end_time < self.start_time:
             raise ValueError("trip ends before it starts")
-        if self.start_station < 0 or self.end_station < 0:
-            raise ValueError("station ids must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -233,9 +235,14 @@ def _nonempty(raw: str | None, name: str) -> str:
 
 def _minute_time(raw: str | None, name: str) -> datetime:
     try:
-        return datetime.fromisoformat(_nonempty(raw, name))
+        ts = datetime.fromisoformat(_nonempty(raw, name))
     except ValueError:
         raise ValueError(f"{name} is not an ISO-8601 timestamp: {raw!r}") from None
+    if ts.tzinfo is not None:
+        raise ValueError(
+            f"{name} {raw!r} carries a UTC offset; timestamps are naive wall-clock"
+        )
+    return ts
 
 
 def _station(raw: str | None, name: str) -> int:
@@ -357,15 +364,18 @@ def grid_series(
     """Distinct-vehicle presence counts per grid cell and epoch.
 
     A vehicle contributes at most 1 to a (cell, epoch) pair no matter how
-    many of its samples land there. Points outside the grid or the epoch
-    range are dropped and counted.
+    many of its samples land there. Unix times are read as UTC. Points
+    outside the grid or the epoch range are dropped and counted.
     """
     counts = np.zeros((grid.n_cells, epochs.n_epochs), dtype=np.int64)
     seen: set[tuple[str, int, int]] = set()
     dropped = 0
     for point in points:
         cell = cell_of(point, grid)
-        epoch = epochs.index_of(datetime.fromtimestamp(point.timestamp))
+        try:
+            epoch = epochs.index_of(_UNIX_EPOCH + timedelta(seconds=point.timestamp))
+        except OverflowError:  # past datetime's years 1-9999, so outside any grid
+            epoch = None
         if cell == OUT_OF_GRID or epoch is None:
             dropped += 1
             continue
@@ -405,7 +415,7 @@ def write_series_csv(
     meta = {
         "epochs": {
             "start": series_set.epochs.start.isoformat(),
-            "epoch_seconds": int(series_set.epochs.epoch_length.total_seconds()),
+            "epoch_seconds": EPOCH_SECONDS,
             "n_epochs": series_set.epochs.n_epochs,
         },
         "n_rois": series_set.n_rois,
@@ -425,35 +435,30 @@ def write_series_csv(
     return sidecar
 
 
-def read_series_csv(csv_path: str | Path) -> tuple[SeriesSet, GridSpec | None]:
+def read_series_csv(csv_path: str | Path) -> SeriesSet:
     """Inverse of write_series_csv; round-trips counts bit-exactly.
 
-    A missing sidecar field or a CSV row that is not three integers inside
-    the sidecar's shape raises ``ValueError`` (naming the row's line).
+    A missing sidecar field, an ``epoch_seconds`` other than 3600, or a CSV
+    row that is not three integers inside the sidecar's shape raises
+    ``ValueError`` (naming the sidecar or the row's line). The sidecar's
+    ``grid`` is not read back.
     """
     csv_path = Path(csv_path)
     sidecar = _sidecar(csv_path)
     meta = json.loads(sidecar.read_text())
     try:
+        epoch_seconds = int(meta["epochs"]["epoch_seconds"])
         epochs = EpochSpec(
             start=datetime.fromisoformat(meta["epochs"]["start"]),
             n_epochs=int(meta["epochs"]["n_epochs"]),
-            epoch_length=timedelta(seconds=int(meta["epochs"]["epoch_seconds"])),
         )
         n_rois = int(meta["n_rois"])
-        grid_meta = meta.get("grid")
-        grid = None
-        if grid_meta is not None:
-            grid = GridSpec(
-                origin_lat=float(grid_meta["origin_lat"]),
-                origin_lon=float(grid_meta["origin_lon"]),
-                rows=int(grid_meta["rows"]),
-                cols=int(grid_meta["cols"]),
-                cell_height_deg=float(grid_meta["cell_height_deg"]),
-                cell_width_deg=float(grid_meta["cell_width_deg"]),
-            )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar}: missing or malformed field {exc}") from None
+    if epoch_seconds != EPOCH_SECONDS:
+        raise ValueError(
+            f"{sidecar}: epoch_seconds is {epoch_seconds}; epochs are {EPOCH_SECONDS} s"
+        )
     counts = np.zeros((n_rois, epochs.n_epochs), dtype=np.int64)
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -466,4 +471,4 @@ def read_series_csv(csv_path: str | Path) -> tuple[SeriesSet, GridSpec | None]:
             if not (0 <= roi < n_rois and 0 <= epoch < epochs.n_epochs):
                 raise ValueError(f"{where}: roi {roi} or epoch {epoch} out of range")
             counts[roi, epoch] = count
-    return SeriesSet(counts, epochs, dropped=int(meta.get("dropped", 0))), grid
+    return SeriesSet(counts, epochs, dropped=int(meta.get("dropped", 0)))

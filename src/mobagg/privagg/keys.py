@@ -30,10 +30,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 KEY_BYTES = 32
 
 
-class KeyError_(ValueError):
-    """Raised for malformed key material."""
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """A user's DH keypair; both halves are raw 32-byte encodings.
@@ -53,8 +49,6 @@ class KeyPair:
     )
 
     def __post_init__(self) -> None:
-        if len(self.private_bytes) != KEY_BYTES:
-            raise KeyError_("private key must be a 32-byte raw encoding")
         sk = X25519PrivateKey.from_private_bytes(self.private_bytes)
         object.__setattr__(self, "_private_key", sk)
         object.__setattr__(self, "public_bytes", sk.public_key().public_bytes_raw())
@@ -75,7 +69,8 @@ def keygen(rng: random.Random | int | None = None) -> KeyPair:
 
 
 def shared_point(own: KeyPair, peer_public: bytes) -> bytes:
-    """Canonical encoding of the DH shared point with ``peer_public``."""
-    if len(peer_public) != KEY_BYTES:
-        raise KeyError_("peer public key must be 32 bytes")
+    """Canonical encoding of the DH shared point with ``peer_public``.
+
+    A key that is not 32 bytes raises ``ValueError`` from ``cryptography``.
+    """
     return own._private_key.exchange(X25519PublicKey.from_public_bytes(peer_public))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -238,8 +238,8 @@ def encode_vector(
     return sk
 
 
-def estimate_vector(sketch: CountMinSketch, keys: Iterable[int] | None = None) -> np.ndarray:
-    """Estimates for every key (or the given ones), as int64."""
-    keys = np.arange(sketch.params.input_size) if keys is None else np.fromiter(keys, np.int64)
+def estimate_vector(sketch: CountMinSketch) -> np.ndarray:
+    """Estimates for every key, as int64."""
+    keys = np.arange(sketch.params.input_size)
     rows = np.arange(sketch.params.depth)[:, None]
     return sketch.counters[rows, sketch.column_table(keys)].min(axis=0).astype(np.int64)

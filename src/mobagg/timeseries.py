@@ -5,8 +5,9 @@ profile holds the per-(weekday, hour) mean over aligned weeks; subtracting
 it gives the de-seasonalized series the forecasting layer works on, and
 adding it back turns a de-seasonalized prediction into a count forecast.
 
-The analytics run on hourly epochs: a day is ``EPOCHS_PER_DAY`` = 24 slots
-and a week ``HOURS_PER_WEEK`` = 168, defined here and nowhere else. The
+Epochs are one hour (``EPOCH_SECONDS``) on naive wall-clock time, a decision
+made here and nowhere else: ``EpochSpec`` refuses a start with a UTC offset,
+a day is ``EPOCHS_PER_DAY`` = 24 slots and a week ``HOURS_PER_WEEK`` = 168. The
 stationarity check is an augmented Dickey-Fuller test at 95% confidence.
 """
 
@@ -20,44 +21,44 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+EPOCH_SECONDS = 3600
 EPOCHS_PER_DAY = 24
 HOURS_PER_WEEK = 7 * EPOCHS_PER_DAY
+_HOUR = timedelta(seconds=EPOCH_SECONDS)
 
 
 class AlignmentError(ValueError):
-    """Raised when a series and a profile (or the week grid) do not line up."""
+    """Raised when a series is too short for the weekly grid."""
 
 
 @dataclass(frozen=True)
 class EpochSpec:
-    """Uniform epoch grid: ``n_epochs`` slots of ``epoch_length`` from ``start``.
+    """Hourly epoch grid: ``n_epochs`` one-hour slots from ``start``.
 
-    Timestamps are naive fixed-offset wall clock; epoch i covers
-    [start + i*length, start + (i+1)*length).
+    Timestamps are naive wall clock; epoch i covers
+    [start + i hours, start + (i+1) hours).
     """
 
     start: datetime
     n_epochs: int
-    epoch_length: timedelta = timedelta(hours=1)
 
     def __post_init__(self) -> None:
+        if self.start.tzinfo is not None:
+            raise ValueError(
+                f"epoch start {self.start.isoformat()} carries a UTC offset; "
+                "epochs are naive wall-clock hours"
+            )
         if self.n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
-        if self.epoch_length <= timedelta(0):
-            raise ValueError("epoch_length must be positive")
-
-    @property
-    def is_hourly(self) -> bool:
-        return self.epoch_length == timedelta(hours=1)
 
     def timestamp_of(self, index: int) -> datetime:
-        return self.start + index * self.epoch_length
+        return self.start + index * _HOUR
 
     def index_of(self, ts: datetime) -> int | None:
         """Epoch containing ``ts``, or None when it falls outside the grid."""
         if ts < self.start:
             return None
-        idx = (ts - self.start) // self.epoch_length
+        idx = (ts - self.start) // _HOUR
         return idx if idx < self.n_epochs else None
 
     def slot_of(self, index: int) -> Tuple[int, int]:
@@ -99,9 +100,7 @@ class RoiTimeSeries:
         return self.values.size
 
     def slot_index(self) -> np.ndarray:
-        """weekday*24 + hour per epoch (hourly grids only)."""
-        if not self.epochs.is_hourly:
-            raise AlignmentError("weekly slots are defined for hourly epochs")
+        """weekday*24 + hour per epoch."""
         wd, hr = self.epochs.slot_of(0)
         first = wd * EPOCHS_PER_DAY + hr
         return (first + np.arange(len(self))) % HOURS_PER_WEEK
@@ -135,25 +134,18 @@ def truncate_to_whole_weeks(series: RoiTimeSeries) -> RoiTimeSeries:
         "(whole weeks required)",
         stacklevel=2,
     )
-    epochs = EpochSpec(series.epochs.start, whole, series.epochs.epoch_length)
+    epochs = EpochSpec(series.epochs.start, whole)
     return RoiTimeSeries(series.roi_id, series.values[:whole], epochs, series.kind)
 
 
-def seasonal_profile(series: RoiTimeSeries, truncate: bool = False) -> SeasonalProfile:
-    """Average each weekly slot over the series' aligned weeks.
+def seasonal_profile(series: RoiTimeSeries) -> SeasonalProfile:
+    """Average each weekly slot over the series' whole weeks.
 
-    The series must be hourly and span whole weeks; pass ``truncate=True`` to
-    cut a partial trailing week instead of failing.
+    A partial trailing week is cut with a warning, and a series shorter than
+    one week raises ``AlignmentError`` (``truncate_to_whole_weeks``).
     """
-    if not series.epochs.is_hourly:
-        raise AlignmentError("profile requires hourly epochs")
-    if len(series) % HOURS_PER_WEEK:
-        if not truncate:
-            raise AlignmentError("profile requires aligned weeks")
-        series = truncate_to_whole_weeks(series)
+    series = truncate_to_whole_weeks(series)
     weeks = len(series) // HOURS_PER_WEEK
-    if weeks < 1:
-        raise AlignmentError("profile requires at least one whole week")
     slots = series.slot_index()
     sums = np.bincount(slots, weights=series.values, minlength=HOURS_PER_WEEK)
     means = (sums / weeks).reshape(7, EPOCHS_PER_DAY)
@@ -161,7 +153,7 @@ def seasonal_profile(series: RoiTimeSeries, truncate: bool = False) -> SeasonalP
 
 
 def deseasonalize(series: RoiTimeSeries, profile: SeasonalProfile) -> RoiTimeSeries:
-    """Subtract the slot mean from every epoch (hourly series only)."""
+    """Subtract the slot mean from every epoch."""
     flat = profile.means.reshape(-1)
     values = series.values - flat[series.slot_index()]
     return RoiTimeSeries(series.roi_id, values, series.epochs, kind="deseasonalized")
@@ -213,7 +205,7 @@ def _critical_value(n: int) -> float:
     return value
 
 
-def adf_stationary(series: RoiTimeSeries | Sequence[float] | np.ndarray) -> AdfResult:
+def adf_stationary(values: Sequence[float] | np.ndarray) -> AdfResult:
     """Augmented Dickey-Fuller test with a constant and automatic lag, at 95%.
 
     Regresses the first difference on the lagged level, floor((n-1)^(1/3))
@@ -221,7 +213,7 @@ def adf_stationary(series: RoiTimeSeries | Sequence[float] | np.ndarray) -> AdfR
     when the t-statistic on the lagged level is below the critical value.
     A constant series is stationary by convention (statistic -inf).
     """
-    y = np.asarray(series.values if isinstance(series, RoiTimeSeries) else series, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
     n = y.size
     if n < 30:
         raise ValueError(f"stationarity test needs >= 30 observations, got {n}")

@@ -183,7 +183,7 @@ def test_criterion_06_forecast_method_ordering(record_property):
     start = time.perf_counter()
     for seed in range(10):
         series = seasonal_series(0, 4, default_rng(seed), phi=0.6, sigma=6.0)
-        profile = seasonal_profile(series, truncate=True)
+        profile = seasonal_profile(series)
         d = deseasonalize(series, profile).values
         # each method picks its orders on the 5 training days before day 25
         des = rolling_scan(series, profile, 25, 1, aic_orders(d, 25))
@@ -237,9 +237,9 @@ def test_criterion_08_var_enhancement(record_property):
         target, helper = correlated_pair(
             4, default_rng(seed), lead=1, coupling=0.9, events=events
         )
-        profile = seasonal_profile(target, truncate=True)
+        profile = seasonal_profile(target)
         d_target = deseasonalize(target, profile)
-        d_helper = deseasonalize(helper, seasonal_profile(helper, truncate=True))
+        d_helper = deseasonalize(helper, seasonal_profile(helper))
         orders = select_order(d_target.values[480:600], 3, 2)
         baseline = rolling_scan(target, profile, 25, 1, orders=orders)
         enh = enhanced_forecast(baseline, d_target, [d_helper])
@@ -337,7 +337,7 @@ def test_criterion_10_estimator_sanity(record_property):
     data = np.zeros((2000, 2))
     for t in range(1, 2000):
         data[t] = A @ data[t - 1] + rng3.normal(0.0, 1.0, 2)
-    model = fit_var([data[:, 0], data[:, 1]], 1)
+    model = fit_var(data, 1)
     var_dev = float(np.max(np.abs(model.coef[0] - A)))
 
     ok = phi_dev <= 0.08 and rho_dev <= 1e-12 and var_dev <= 0.1

@@ -70,9 +70,9 @@ class TestIngestCli:
             ]
         )
         assert code == 0
-        tap_in, _ = read_series_csv(out / "station_in.csv")
-        tap_out, _ = read_series_csv(out / "station_out.csv")
-        total, _ = read_series_csv(out / "station_total.csv")
+        tap_in = read_series_csv(out / "station_in.csv")
+        tap_out = read_series_csv(out / "station_out.csv")
+        total = read_series_csv(out / "station_total.csv")
         assert tap_in.counts[0, 7] == 1
         assert tap_in.counts[2, 8] == 1
         assert tap_in.counts[1, 9] == 1
@@ -109,6 +109,33 @@ class TestIngestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)], ids=["lenient", "strict"])
+    def test_utc_offset_trip_is_a_bad_row(self, tmp_path, capsys, strict, code):
+        offset = "c4,2016-02-01T08:00+00:00,1,2016-02-01T08:30,2\n"
+        trips = self.trips_file(tmp_path, extra_rows=[offset])
+        argv = [
+            "--out", str(tmp_path / "out"),
+            "ingest", "--kind", "station", "--input", str(trips),
+            "--start", "2016-02-01T00:00:00", "--epochs", "24", "--n-stations", "3",
+        ]
+        assert main(["--strict", *argv] if strict else argv) == code
+        captured = capsys.readouterr()
+        if strict:
+            assert "carries a UTC offset" in captured.err
+        else:
+            assert "3 trips (1 bad rows)" in captured.out
+
+    def test_start_with_utc_offset_exits_one(self, tmp_path, capsys):
+        code = main(
+            [
+                "--out", str(tmp_path / "out"),
+                "ingest", "--kind", "station", "--input", str(self.trips_file(tmp_path)),
+                "--start", "2016-02-01T00:00:00+01:00", "--epochs", "24", "--n-stations", "3",
+            ]
+        )
+        assert code == 1
+        assert "UTC offset" in capsys.readouterr().err
+
     def test_station_ingest_requires_station_count(self, tmp_path, capsys):
         trips = self.trips_file(tmp_path)
         code = main(
@@ -123,7 +150,7 @@ class TestIngestCli:
 
     def test_grid_ingest_writes_cells_with_grid_sidecar(self, tmp_path):
         base_ts = 1_000_000_000
-        start = datetime.fromtimestamp(base_ts)
+        start = datetime(2001, 9, 9, 1, 46, 40)  # base_ts read as UTC
         fixes = [f"cab{i},0.5,{0.5 + i},{base_ts + 60 * i}\n" for i in range(3)]
         gps = tmp_path / "gps.csv"
         gps.write_text(GPS_HEADER + "".join(fixes))
@@ -139,8 +166,9 @@ class TestIngestCli:
             ]
         )
         assert code == 0
-        cells, grid = read_series_csv(out / "grid_cells.csv")
-        assert grid == GridSpec(0.0, 0.0, 2, 4, 1.0, 1.0)
+        cells = read_series_csv(out / "grid_cells.csv")
+        meta = json.loads((out / "grid_cells.csv.meta.json").read_text())
+        assert GridSpec(**meta["grid"]) == GridSpec(0.0, 0.0, 2, 4, 1.0, 1.0)
         assert cells.counts.shape == (8, 2)
         assert cells.counts[0, 0] == 1
         assert cells.counts[1, 0] == 1
@@ -170,6 +198,17 @@ class TestForecastCli:
         assert np.isfinite(model["aic"])
         assert "orders (1, 0)" in capsys.readouterr().out
 
+    def test_non_hourly_sidecar_exits_one(self, tmp_path, capsys):
+        series = write_series(tmp_path, synth_counts(1, 336))
+        sidecar = tmp_path / "series.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["epochs"]["epoch_seconds"] = 1800
+        sidecar.write_text(json.dumps(meta))
+        argv = ["--out", str(tmp_path / "out"), "forecast", "--series", str(series), "--roi", "0"]
+        code = main(argv)
+        assert code == 1
+        assert "epoch_seconds is 1800" in capsys.readouterr().err
+
     def test_fits_the_test_day_once(self, tmp_path, monkeypatch):
         # model.json dumps the scan's own fit of the test day, not a refit
         path = write_series(tmp_path, synth_counts(1, 336))
@@ -187,8 +226,8 @@ class TestForecastCli:
                 "--orders", "1,0"]
         assert main(argv) == 0
         assert calls == [(1, 0)]
-        series = read_series_csv(path)[0].series(0)
-        d = deseasonalize(series, seasonal_profile(series, truncate=True)).values
+        series = read_series_csv(path).series(0)
+        d = deseasonalize(series, seasonal_profile(series)).values
         expected = write_model_dump(tmp_path / "expected.json", fit(d[192:312], 1, 0))
         assert (out / "model.json").read_bytes() == expected.read_bytes()
 
@@ -211,7 +250,7 @@ class TestForecastCli:
         series = write_series(tmp_path, synth_counts(1, 672, seed=6))
         sim = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=1)
         config = PipelineConfig(sim=sim, scan_start_day=27)
-        result = analyze_aggregates(read_series_csv(series)[0], config, tmp_path / "pipeline")
+        result = analyze_aggregates(read_series_csv(series), config, tmp_path / "pipeline")
         out = tmp_path / "cli"
         assert main(["--out", str(out), "forecast", "--series", str(series), "--roi", "0"]) == 0
         assert (out / "forecast.csv").read_bytes() == result.paths["forecast"].read_bytes()
@@ -272,7 +311,7 @@ class TestAnomaliesCli:
         assert code == 0
         sim = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=2)
         config = PipelineConfig(sim=sim, arma_orders=(1, 0))
-        result = analyze_aggregates(read_series_csv(series)[0], config, tmp_path / "pipeline")
+        result = analyze_aggregates(read_series_csv(series), config, tmp_path / "pipeline")
         expected = (out / "anomalies.csv").read_bytes()
         assert result.paths["anomalies"].read_bytes() == expected
         assert len(read_rows(out / "anomalies.csv")) >= 2
@@ -388,7 +427,7 @@ class TestEnhanceCli:
         counts = synth_counts(3, 672, seed=5)
         counts[1, 16 * 24 + 9] += 50
         series = write_series(tmp_path, counts)
-        result = analyze_aggregates(read_series_csv(series)[0], config, tmp_path / "pipeline")
+        result = analyze_aggregates(read_series_csv(series), config, tmp_path / "pipeline")
         top = result.anomalies[0]
         assert (top.roi_id, top.epoch_index) == (1, 16 * 24 + 9)
         out = tmp_path / "cli"

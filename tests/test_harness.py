@@ -403,17 +403,17 @@ class TestHostileRound:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*argv, timeout):
-    """A fresh interpreter with ``src`` on its path."""
-    env = dict(os.environ)
+def run_python(*argv, timeout, env_vars=None):
+    """A fresh interpreter with ``src`` on its path and ``env_vars`` set."""
+    env = {**os.environ, **(env_vars or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
-def run_cli(*argv, timeout):
-    return run_python("-m", "mobagg.harness.cli", *argv, timeout=timeout)
+def run_cli(*argv, timeout, env_vars=None):
+    return run_python("-m", "mobagg.harness.cli", *argv, timeout=timeout, env_vars=env_vars)
 
 
 # makes every import of SciPy fail, as on a host without it
@@ -468,6 +468,28 @@ class TestImportSeam:
         result = run_python("-c", code, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+
+class TestGpsIngestTimeZone:
+    def test_grid_cells_do_not_depend_on_the_host_zone(self, tmp_path):
+        # 1454313600 is 2016-02-01 08:00 UTC and 00:00 in Los Angeles
+        gps = tmp_path / "gps.csv"
+        gps.write_text("cab_id,lat,lon,unix_time\nv1,0.5,0.5,1454313600\n")
+        cells = {}
+        for zone in ("UTC", "America/Los_Angeles"):
+            out = tmp_path / zone.replace("/", "-")
+            done = run_cli(
+                "--out", str(out), "ingest", "--kind", "grid", "--input", str(gps),
+                "--start", "2016-02-01T00:00:00", "--epochs", "24",
+                "--grid-origin-lat", "0", "--grid-origin-lon", "0",
+                "--grid-rows", "1", "--grid-cols", "1",
+                "--cell-height-deg", "1", "--cell-width-deg", "1",
+                timeout=60, env_vars={"TZ": zone},
+            )
+            assert done.returncode == 0, done.stderr
+            cells[zone] = (out / "grid_cells.csv").read_bytes()
+        assert cells["UTC"] == cells["America/Los_Angeles"]
+        assert cells["UTC"].decode().splitlines() == ["roi_id,epoch_index,count", "0,8,1"]
 
 
 class TestTcpTransport:
@@ -695,7 +717,7 @@ class TestAnalyzeRoi:
 
     def check_against_references(self, series, orders):
         result = analyze_roi(series, 12, 4, train_days=5, calibration_days=7, orders=orders)
-        profile = seasonal_profile(series, truncate=True)
+        profile = seasonal_profile(series)
         if orders is None:
             d = deseasonalize(series, profile).values
             orders = select_order(d[7 * 24 : 12 * 24], 3, 2)
@@ -721,7 +743,7 @@ class TestAnalyzeRoi:
             result.scan.days(15, 2)
 
     def test_fallback_days_are_sliced_with_their_slots(self, series, monkeypatch):
-        d = deseasonalize(series, seasonal_profile(series, truncate=True)).values
+        d = deseasonalize(series, seasonal_profile(series)).values
         failing = [d[(day - 5) * 24 : day * 24] for day in (9, 13)]  # calibration, scan
         fit = rolling_mod.fit_arma
 
@@ -817,7 +839,7 @@ class TestAnalyzeRois:
     def test_fit_failures_fall_back_through_the_pool(self, counts, monkeypatch):
         # fork hands the patched fit_arma to the workers
         series = [counts.series(r) for r in range(counts.n_rois)]
-        d = deseasonalize(series[2], seasonal_profile(series[2], truncate=True)).values
+        d = deseasonalize(series[2], seasonal_profile(series[2])).values
         failing = d[(14 - 5) * 24 : 14 * 24]  # training window of scan day 14
         fit = rolling_mod.fit_arma
 

@@ -3,7 +3,7 @@
 import io
 import random
 from collections import defaultdict
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -72,6 +72,19 @@ class TestParseTrips:
                 strict=True,
             )
         assert info.value.line == 3
+
+    def test_utc_offset_is_a_row_error(self):
+        result = parse_trips(
+            trips_csv(
+                "c1,2016-02-01T08:00+00:00,3,2016-02-01T08:25,7",
+                "c2,2016-02-01T08:00,3,2016-02-01T08:25,7",
+            )
+        )
+        assert [r.card_id for r in result.records] == ["c2"]
+        (err,) = result.errors
+        assert err.line == 2 and "carries a UTC offset" in err.message
+        with pytest.raises(ParseFailure, match="UTC offset"):
+            parse_trips(trips_csv("c1,2016-02-01T08:00,3,2016-02-01T08:25-05:00,7"), strict=True)
 
     def test_missing_column_fails_fast(self):
         src = io.StringIO("card_id,start_time\nc1,2016-02-01T08:00\n")
@@ -218,8 +231,8 @@ class TestGridSeries:
                     cell_height_deg=1.0, cell_width_deg=1.0)
 
     def setup_method(self):
-        self.base_ts = 1454313600
-        self.epochs = EpochSpec(start=datetime.fromtimestamp(self.base_ts), n_epochs=24)
+        self.base_ts = 1454313600  # 2016-02-01 08:00 UTC
+        self.epochs = EpochSpec(start=datetime(2016, 2, 1, 8), n_epochs=24)
 
     def point(self, cab, lat, lon, minute):
         return GpsPoint(cab, lat, lon, self.base_ts + minute * 60)
@@ -244,6 +257,11 @@ class TestGridSeries:
         result = grid_series([self.point("v1", 5.0, 0.5, 0)], self.grid, self.epochs)
         assert result.counts.sum() == 0 and result.dropped == 1
 
+    def test_time_beyond_the_calendar_dropped(self):
+        points = [GpsPoint("v1", 0.5, 0.5, t) for t in (10**12, -(10**12), 2**62)]
+        result = grid_series(points, self.grid, self.epochs)
+        assert result.counts.sum() == 0 and result.dropped == 3
+
     def test_matches_set_based_oracle(self):
         rng = random.Random(2718)
         points = [
@@ -261,7 +279,8 @@ class TestGridSeries:
         dropped = 0
         for p in points:
             cell = cell_of(p, self.grid)
-            epoch = self.epochs.index_of(datetime.fromtimestamp(p.timestamp))
+            utc = datetime.fromtimestamp(p.timestamp, timezone.utc).replace(tzinfo=None)
+            epoch = self.epochs.index_of(utc)
             if cell == OUT_OF_GRID or epoch is None:
                 dropped += 1
             else:
@@ -289,23 +308,25 @@ class TestSeriesCsvRoundTrip:
         original = SeriesSet(counts, epochs, dropped=4)
         path = tmp_path / "counts.csv"
         write_series_csv(original, path)
-        restored, grid = read_series_csv(path)
-        assert grid is None
+        restored = read_series_csv(path)
         assert np.array_equal(restored.counts, original.counts)
         assert restored.epochs == original.epochs
         assert restored.dropped == 4
 
     def test_grid_sidecar(self, tmp_path):
+        import json
+
         epochs = EpochSpec(start=datetime(2016, 2, 1), n_epochs=2)
         from mobagg.ingest import SeriesSet
 
         original = SeriesSet(np.ones((4, 2), dtype=np.int64), epochs)
         path = tmp_path / "grid.csv"
         spec = GridSpec(37.6, -122.52, 2, 2, 0.01, 0.02)
-        write_series_csv(original, path, grid=spec)
-        restored, grid = read_series_csv(path)
-        assert grid == spec
-        assert np.array_equal(restored.counts, original.counts)
+        sidecar = write_series_csv(original, path, grid=spec)
+        meta = json.loads(sidecar.read_text())
+        assert GridSpec(**meta["grid"]) == spec
+        assert meta["epochs"]["epoch_seconds"] == 3600
+        assert np.array_equal(read_series_csv(path).counts, original.counts)
 
     @staticmethod
     def small_pair(tmp_path):
@@ -352,3 +373,20 @@ class TestSeriesCsvRoundTrip:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=drop[-1]):
             read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("epoch_seconds", 1800, "epoch_seconds is 1800"),
+         ("start", "2016-02-01T00:00:00+00:00", "carries a UTC offset")],
+        ids=["non-hourly", "offset-start"],
+    )
+    def test_sidecar_epochs_must_be_naive_hours(self, tmp_path, field, value, message):
+        import json
+
+        path, sidecar = self.small_pair(tmp_path)
+        meta = json.loads(sidecar.read_text())
+        meta["epochs"][field] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message) as info:
+            read_series_csv(path)
+        assert str(sidecar) in str(info.value)

@@ -14,6 +14,7 @@ import mobagg.privagg.masking as masking_mod
 from mobagg.privagg import (
     GroupAssignmentError,
     GroupView,
+    KeyPair,
     MASK_MODULUS,
     ProtocolError,
     aggregate,
@@ -27,6 +28,7 @@ from mobagg.privagg import (
     shared_point,
 )
 from mobagg.privagg.masking import MAX_VECTOR_LENGTH
+from mobagg.privagg.wire import decode_announcement, encode_announcement, frame, unframe
 
 
 def make_group(n, round_id=0, length=16, seed=0, ids=None):
@@ -93,6 +95,31 @@ class TestKeygen:
         assert key.private_bytes.hex() not in text
         assert "private_bytes" not in text
         assert repr(key.public_bytes) in text
+
+
+class TestMalformedKeys:
+    """cryptography checks key lengths; the protocol turns its error into ProtocolError."""
+
+    def test_short_private_key_raises_value_error(self):
+        with pytest.raises(ValueError):
+            KeyPair(bytes(31))
+
+    def test_long_peer_key_raises_value_error(self):
+        with pytest.raises(ValueError):
+            shared_point(keygen(1), keygen(2).public_bytes + b"\0")
+
+    def test_long_peer_key_is_protocol_error_for_the_pair_key(self):
+        own = keygen(1)
+        with pytest.raises(ProtocolError, match="unusable peer public key"):
+            masking_mod._pair_key(own, keygen(2).public_bytes + b"\0")
+        assert not own._pair_keys
+
+    def test_long_key_in_announcement_is_protocol_error(self):
+        _, group = make_group(2)
+        header, _ = unframe(encode_announcement(group))
+        header["public_keys"]["1"] += "00"
+        with pytest.raises(ProtocolError, match="not 32 bytes"):
+            decode_announcement(frame(header))
 
 
 class TestGroupView:

@@ -201,12 +201,12 @@ class TestEncodeVector:
         table = sk.column_table(np.array(keys))
         assert table.T.tolist() == [list(sk.columns(k)) for k in keys]
 
-    def test_estimate_vector_rejects_outside_keys(self):
+    def test_column_table_rejects_outside_keys(self):
         sk = fresh(make_params(20, 0.2, 0.2))
         with pytest.raises(SketchParamsError):
-            estimate_vector(sk, [3, 20])
+            sk.column_table(np.array([3, 20]))
         with pytest.raises(SketchParamsError):
-            estimate_vector(sk, [-1])
+            sk.column_table(np.array([-1]))
 
 
 class TestLinearity:

@@ -1,7 +1,7 @@
 """Epoch grids, weekly profiles, error summaries, and the stationarity test."""
 
 from collections import defaultdict
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -46,6 +46,10 @@ class TestEpochSpec:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             EpochSpec(MONDAY, 0)
+
+    def test_rejects_start_with_utc_offset(self):
+        with pytest.raises(ValueError, match="UTC offset"):
+            EpochSpec(MONDAY.replace(tzinfo=timezone.utc), 48)
 
 
 class TestRoiTimeSeries:
@@ -93,19 +97,11 @@ class TestSeasonalProfile:
         for (wd, hr), vals in bucket.items():
             assert profile.means[wd, hr] == pytest.approx(np.mean(vals), abs=1e-12)
 
-    def test_partial_week_rejected_unless_truncated(self):
+    def test_partial_week_cut_with_warning(self):
         series = hourly(np.ones(336 + 3))
-        with pytest.raises(AlignmentError):
-            seasonal_profile(series)
         with pytest.warns(UserWarning):
-            profile = seasonal_profile(series, truncate=True)
+            profile = seasonal_profile(series)
         assert profile.weeks_used == 2
-
-    def test_requires_hourly_epochs(self):
-        spec = EpochSpec(MONDAY, 336, timedelta(minutes=30))
-        series = RoiTimeSeries(0, np.ones(336), spec)
-        with pytest.raises(AlignmentError):
-            seasonal_profile(series)
 
 
 

@@ -32,14 +32,14 @@ class TestFitVar:
     def test_recovers_constructed_dependence(self):
         A = np.array([[0.5, 0.2], [0.1, 0.4]])
         y = var1_sample(A, 2000, seed=11)
-        model = fit_var([y[:, 0], y[:, 1]], 1)
+        model = fit_var(y, 1)
         assert model.k == 2 and model.p == 1
         assert np.max(np.abs(model.coef[0] - A)) < 0.1
 
     def test_matches_direct_least_squares(self):
         A = np.array([[0.3, -0.2], [0.25, 0.5]])
         y = var1_sample(A, 500, seed=13, const=[1.0, -2.0])
-        model = fit_var([y[:, 0], y[:, 1]], 2)
+        model = fit_var(y, 2)
 
         resp, X = lagged_design(y, 2)
         B, *_ = np.linalg.lstsq(X, resp, rcond=None)
@@ -50,39 +50,35 @@ class TestFitVar:
     def test_white_noise_coefficients_near_zero(self):
         rng = np.random.default_rng(29)
         a, b = rng.normal(0, 1, 1500), rng.normal(0, 1, 1500)
-        model = fit_var([a, b], 1)
+        model = fit_var(np.column_stack([a, b]), 1)
         assert np.max(np.abs(model.coef[0])) < 0.1
 
     def test_residual_covariance_is_symmetric_psd(self):
         A = np.array([[0.4, 0.1], [0.0, 0.3]])
         y = var1_sample(A, 800, seed=31)
-        model = fit_var([y[:, 0], y[:, 1]], 1)
+        model = fit_var(y, 1)
         cov = model.residual_cov
         assert np.allclose(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= 0
 
     def test_single_series_rejected(self):
         with pytest.raises(ValueError):
-            fit_var([np.ones(100)], 1)
+            fit_var(np.ones((100, 1)), 1)
 
     def test_collinear_inputs_rejected(self):
         rng = np.random.default_rng(37)
         a = rng.normal(0, 1, 200)
         with pytest.raises(CollinearInputs):
-            fit_var([a, 2.0 * a], 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            fit_var([np.ones(100), np.ones(99)], 1)
+            fit_var(np.column_stack([a, 2.0 * a]), 1)
 
     def test_too_short(self):
         # VAR(1) over 2 series estimates 3 parameters per equation
         with pytest.raises(ValueError):
-            fit_var([np.arange(29.0), np.arange(29.0) ** 2], 1)
+            fit_var(np.column_stack([np.arange(29.0), np.arange(29.0) ** 2]), 1)
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
-            fit_var([np.ones(100), np.zeros(100)], 0)
+            fit_var(np.column_stack([np.ones(100), np.zeros(100)]), 0)
 
 
 class TestForecastVar:
@@ -130,7 +126,7 @@ class TestForecastVar:
     def test_one_step_consistency_with_fit_residuals(self):
         A = np.array([[0.5, 0.2], [0.1, 0.4]])
         y = var1_sample(A, 300, seed=41)
-        model = fit_var([y[:, 0], y[:, 1]], 1)
+        model = fit_var(y, 1)
         resp, X = lagged_design(y, 1)
         for t in (0, 150, 298):
             pred = forecast_var(model, y[t : t + 1])
