@@ -28,11 +28,12 @@ The simplex search is ``_nelder_mead``: the Nelder-Mead (1965) loop of SciPy's
 ``_minimize_neldermead`` (SciPy 1.17, not adaptive, no bounds), restated on
 Python float lists. SciPy's wrapper and array bookkeeping cost more per
 evaluation than the objective does, and this loop walks the same path bit
-for bit: the same simplex, the same float operations in the same order, the
-same branches and budget. It orders the simplex with ``np.argsort``, as SciPy
-does: the 1e300 barrier makes ties common, NumPy's SIMD sorts on x86-64 may
-leave equal values out of index order, and a stable sort would then take
-another path. Tests run both searches side by side.
+for bit whenever ``np.argsort`` is stable: the same simplex, the same float
+operations in the same order, the same branches and budget. Tied simplex
+values keep index order. The 1e300 barrier makes ties common, and SciPy
+leaves their order to ``np.argsort``, whose SIMD sorts on x86-64 may move
+equal values; a stable sort of our own makes every fit the same on every
+host. Tests run both searches side by side.
 """
 
 from __future__ import annotations
@@ -226,9 +227,10 @@ def _nelder_mead(
     Returns ``(x, fun, nfev, success)`` bit for bit as
     ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` returns them with
     ``xatol``, ``fatol`` and ``maxiter = maxfev``, as ``_minimize_neldermead``
-    runs in SciPy 1.17 without ``adaptive`` or bounds: the same simplex, the
-    same float operations in the same order, the same branches and
-    comparisons, and the same ``np.argsort`` sorts. ``f`` gets a list, which
+    runs in SciPy 1.17 without ``adaptive`` or bounds, provided that
+    ``np.argsort`` is stable: the same simplex, the same float operations in
+    the same order, the same branches and comparisons. Ties among simplex
+    values keep index order, on every host. ``f`` gets a list, which
     it must not change, and must not return NaN. The iteration cap is left
     out: every iteration evaluates ``f`` at least once after the N + 1
     initial evaluations, so with ``maxiter = maxfev`` the evaluation cap
@@ -255,16 +257,15 @@ def _nelder_mead(
             fsim[k] = call(sim[k])
     except _BudgetSpent:
         pass
-    # SciPy sorts here twice, in a finally block and after it. Both stay: an
-    # unstable sort is free to move ties even in sorted input. np.argsort of
-    # a list is np.array(list).argsort(); the method skips its wrapper.
-    for _ in range(2):
-        order = np.array(fsim).argsort().tolist()
+    while True:
+        # A stable sort: tied vertices keep index order. SciPy sorts twice
+        # after the initial evaluations, which under a stable sort is once.
+        order = sorted(range(n + 1), key=fsim.__getitem__)
         sim = [sim[i] for i in order]
         fsim = [fsim[i] for i in order]
-
-    while nfev < maxfev:
         best, fbest = sim[0], fsim[0]
+        if nfev >= maxfev:
+            break
         if (all(abs(fbest - v) <= fatol for v in fsim[1:])
                 and all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))):
             break
@@ -305,10 +306,7 @@ def _nelder_mead(
                         fsim[j] = call(sim[j])
         except _BudgetSpent:
             pass
-        order = np.array(fsim).argsort().tolist()
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
-    return sim[0], fsim[0], nfev, nfev < maxfev
+    return best, fbest, nfev, nfev < maxfev
 
 
 def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
@@ -317,8 +315,8 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
     Mixed models (q > 0) start from the OLS AR fit with zero MA terms and run
     ``_nelder_mead``, SciPy's Nelder-Mead path without SciPy's per-call
     overhead, with ``xatol=1e-6``, ``fatol=1e-10`` and at most 800 evaluations
-    per coefficient. Ties among simplex values are ordered as ``np.argsort``
-    orders them, so the fit depends on NumPy's sort as SciPy's search did.
+    per coefficient. Tied simplex values keep index order, so the fit follows
+    SciPy's path under a stable ``np.argsort`` bit for bit, on every host.
     Raises ``FitError`` carrying the best model when the budget runs out.
     """
     y = np.asarray(series, dtype=np.float64)

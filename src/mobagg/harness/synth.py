@@ -21,11 +21,7 @@ from ..timeseries import EpochSpec, HOURS_PER_WEEK, RoiTimeSeries
 DEFAULT_START = datetime(2016, 2, 1)
 
 
-def commuter_pattern(
-    base: float = 120.0,
-    peak: float = 180.0,
-    weekend_level: float = 0.55,
-) -> np.ndarray:
+def commuter_pattern(base: float = 120.0, peak: float = 180.0) -> np.ndarray:
     """A plausible (7, 24) weekly mean table with two weekday rush peaks."""
     hours = np.arange(24)
     morning = np.exp(-0.5 * ((hours - 8.0) / 1.6) ** 2)
@@ -33,7 +29,7 @@ def commuter_pattern(
     night = np.exp(-0.5 * ((hours - 3.0) / 2.5) ** 2)
     day_shape = base + peak * (morning + 0.9 * evening) - 0.6 * base * night
     pattern = np.tile(day_shape, (7, 1))
-    pattern[5] = weekend_level * (base + 0.5 * peak * np.exp(-0.5 * ((hours - 14.0) / 3.0) ** 2))
+    pattern[5] = 0.55 * (base + 0.5 * peak * np.exp(-0.5 * ((hours - 14.0) / 3.0) ** 2))
     pattern[6] = pattern[5] * 0.9
     return np.maximum(pattern, 5.0)
 
@@ -66,19 +62,15 @@ def seasonal_series(
     rng: np.random.Generator,
     phi: float = 0.6,
     sigma: float = 10.0,
-    pattern: np.ndarray | None = None,
     impulses: Mapping[int, float] | None = None,
-    start: datetime = DEFAULT_START,
 ) -> RoiTimeSeries:
-    """Weekly pattern plus AR(1) noise, floored at zero counts."""
+    """Commuter pattern plus AR(1) noise, floored at zero counts."""
     if weeks < 1:
         raise ValueError("weeks must be >= 1")
-    if pattern is None:
-        pattern = commuter_pattern()
     n = weeks * HOURS_PER_WEEK
     slots = np.arange(n) % HOURS_PER_WEEK
-    values = pattern.reshape(-1)[slots] + ar1_noise(n, phi, sigma, rng, impulses)
-    epochs = EpochSpec(start=start, n_epochs=n)
+    values = commuter_pattern().reshape(-1)[slots] + ar1_noise(n, phi, sigma, rng, impulses)
+    epochs = EpochSpec(start=DEFAULT_START, n_epochs=n)
     return RoiTimeSeries(roi_id, np.maximum(values, 0.0), epochs)
 
 
@@ -88,23 +80,19 @@ def correlated_pair(
     lead: int = 1,
     coupling: float = 0.9,
     events: Mapping[int, float] | None = None,
-    phi_helper: float = 0.5,
-    sigma_helper: float = 6.0,
-    phi_own: float = 0.4,
-    sigma_own: float = 3.0,
-    start: datetime = DEFAULT_START,
 ) -> tuple[RoiTimeSeries, RoiTimeSeries]:
     """(target, helper) where the helper leads the target by ``lead`` epochs.
 
-    The target's de-seasonalized dynamics are coupling * helper_{t-lead}
-    plus its own AR(1) term, so events planted in the helper (via ``events``
-    innovations) hit the target ``lead`` epochs later.
+    The helper's de-seasonalized dynamics are AR(1) with phi 0.5 and
+    sigma 6. The target's are coupling * helper_{t-lead} plus its own AR(1)
+    term with phi 0.4 and sigma 3, so events planted in the helper (via
+    ``events`` innovations) hit the target ``lead`` epochs later.
     """
     if lead < 0:
         raise ValueError("lead must be >= 0")
     n = weeks * HOURS_PER_WEEK
-    helper_d = ar1_noise(n, phi_helper, sigma_helper, rng, events)
-    own = ar1_noise(n, phi_own, sigma_own, rng)
+    helper_d = ar1_noise(n, 0.5, 6.0, rng, events)
+    own = ar1_noise(n, 0.4, 3.0, rng)
     shifted = np.zeros(n)
     if lead:
         shifted[lead:] = helper_d[:-lead]
@@ -115,7 +103,7 @@ def correlated_pair(
     pattern_t = commuter_pattern()
     pattern_h = commuter_pattern(base=90.0, peak=140.0)
     slots = np.arange(n) % HOURS_PER_WEEK
-    epochs = EpochSpec(start=start, n_epochs=n)
+    epochs = EpochSpec(start=DEFAULT_START, n_epochs=n)
     target = RoiTimeSeries(0, np.maximum(pattern_t.reshape(-1)[slots] + target_d, 0.0), epochs)
     helper = RoiTimeSeries(1, np.maximum(pattern_h.reshape(-1)[slots] + helper_d, 0.0), epochs)
     return target, helper
@@ -126,7 +114,6 @@ def synthetic_counts(
     weeks: int,
     rng: np.random.Generator,
     max_count: int = 30,
-    start: datetime = DEFAULT_START,
 ) -> SeriesSet:
     """Integer ground-truth counts for a small simulated city.
 
@@ -143,5 +130,5 @@ def synthetic_counts(
         pattern = commuter_pattern(base=0.45 * scale, peak=0.55 * scale)
         values = pattern.reshape(-1)[slots] + ar1_noise(n, 0.5, 0.06 * scale, rng)
         counts[roi] = np.clip(np.round(values), 0, max_count).astype(np.int64)
-    epochs = EpochSpec(start=start, n_epochs=n)
+    epochs = EpochSpec(start=DEFAULT_START, n_epochs=n)
     return SeriesSet(counts, epochs)

@@ -71,8 +71,8 @@ class EpochSpec:
 class RoiTimeSeries:
     """Values of one region of interest over an epoch grid.
 
-    ``kind`` tags what the numbers mean: "raw" observed counts (non-negative),
-    "deseasonalized" residuals around the weekly profile, or "predicted".
+    ``kind`` tags what the numbers mean: "raw" observed counts (non-negative)
+    or "deseasonalized" residuals around the weekly profile.
     """
 
     roi_id: int

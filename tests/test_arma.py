@@ -1,8 +1,15 @@
 """ARMA estimation, order selection, and one-step forecasts."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,22 +319,57 @@ def boxed(n, seed):
     return f, start
 
 
+# (n, seed) of boxed searches where ties decide the path: an unstable sort,
+# such as np.argsort on AVX2 and AVX-512 hosts, leads these searches elsewhere
+PLATEAU_CASES = [(4, 0), (4, 6), (5, 9), (5, 14), (6, 4), (6, 6)]
+
+# NumPy's dispatch targets with unstable sorts; with them off, np.argsort
+# runs NumPy's baseline sort
+DISPATCH_TARGETS = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def dispatch_on():
+    """True when NumPy reports any of ``DISPATCH_TARGETS`` on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return any(__cpu_features__.get(k) for k in DISPATCH_TARGETS.split())
+
+
+# prints dispatch_on() and the bits of the plateau searches as JSON
+PLATEAU_SEARCHES = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from test_arma import PLATEAU_CASES, boxed, dispatch_on
+from mobagg.forecast.arma import _nelder_mead
+searches = []
+for n, seed in PLATEAU_CASES:
+    x, fun, nfev, success = _nelder_mead(*boxed(n, seed), 1e-6, 1e-10, 800 * n)
+    searches.append([[v.hex() for v in x], fun.hex(), nfev, success])
+print(json.dumps([dispatch_on(), searches]))
+"""
+
+
 class TestNelderMead:
     """``_nelder_mead`` walks the path of SciPy's Nelder-Mead bit for bit.
 
     Each search runs under ``fit_arma``'s options beside
     ``scipy.optimize.minimize(method="Nelder-Mead")``; ``x``, ``fun``,
-    ``nfev`` and ``success`` must be equal to the bit.
+    ``nfev`` and ``success`` must be equal to the bit. SciPy orders the
+    simplex with ``np.argsort``, which the reference runs as a stable sort:
+    ``_nelder_mead`` keeps tied values in index order.
     """
 
     @staticmethod
     def assert_same_search(f, x0, maxfev=None):
         maxfev = 800 * len(x0) if maxfev is None else maxfev
         x, fun, nfev, success = arma_mod._nelder_mead(f, list(x0), 1e-6, 1e-10, maxfev)
-        ref = minimize(
-            lambda v: f(v.tolist()), np.array(x0, dtype=np.float64), method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": maxfev, "maxfev": maxfev},
-        )
+        with mock.patch.object(np, "argsort", partial(np.argsort, kind="stable")):
+            ref = minimize(
+                lambda v: f(v.tolist()), np.array(x0, dtype=np.float64), method="Nelder-Mead",
+                options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": maxfev, "maxfev": maxfev},
+            )
         assert [v.hex() for v in x] == [float(v).hex() for v in ref.x]
         assert float(fun).hex() == float(ref.fun).hex()
         assert (nfev, success) == (ref.nfev, ref.success)
@@ -339,12 +381,28 @@ class TestNelderMead:
         f, x0 = quadratic(n, seed)
         self.assert_same_search(f, x0)
 
-    # (n, seed) where Python's stable sort of the simplex values sends the
-    # search down another path than np.argsort on AVX2 and AVX-512 hosts
-    @pytest.mark.parametrize("n, seed", [(4, 0), (4, 6), (5, 9), (5, 14), (6, 4), (6, 6)])
+    # the simplex values tie at 1e300, and only the tie rule picks the path
+    @pytest.mark.parametrize("n, seed", PLATEAU_CASES)
     def test_plateau_ties(self, n, seed):
         f, x0 = boxed(n, seed)
         self.assert_same_search(f, x0)
+
+    def test_plateau_ties_ignore_cpu_dispatch(self):
+        # the same searches in two fresh interpreters, one with NumPy's
+        # AVX2 and AVX-512 targets off
+        if not dispatch_on():
+            pytest.skip("NumPy reports no AVX2 or AVX-512 dispatch target on")
+        here = Path(__file__).resolve().parent
+        args = [sys.executable, "-c", PLATEAU_SEARCHES, str(here), str(here.parent / "src")]
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        (on, default), (off, baseline) = (
+            json.loads(subprocess.run(
+                args, env=e, capture_output=True, text=True, timeout=120, check=True,
+            ).stdout)
+            for e in (env, {**env, "NPY_DISABLE_CPU_FEATURES": DISPATCH_TARGETS})
+        )
+        assert (on, off) == (True, False)
+        assert baseline == default
 
     @pytest.mark.parametrize("x0", [
         [0.0, 0.0], [0.0, 1.5, -0.0], [2.0, -0.0, 0.0, -1.0], [0.0] * 6,
