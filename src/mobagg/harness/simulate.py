@@ -209,7 +209,7 @@ def member_submit(
         vector = plain
     else:
         try:
-            vector = cms.encode_vector(plain, params, view.sketch_seeds or ()).flatten()
+            vector = cms.encode_vector(plain, params, view.sketch_seeds or ())
         except cms.SketchParamsError as exc:
             raise ProtocolError(f"announced sketch seeds do not fit: {exc}") from None
     entries = encrypt(vector, blinding_factors(own, own_id, view))
@@ -349,7 +349,7 @@ def simulate_round(
         for uid in online:
             oracle += user_vectors[uid]
         if params is not None:
-            oracle = cms.encode_vector(oracle, params, seeds).flatten()
+            oracle = cms.encode_vector(oracle, params, seeds)
         verified = bool(np.array_equal(values, oracle.astype(np.uint32)))
         group_reports.append(
             GroupReport(
@@ -371,8 +371,7 @@ def simulate_round(
         online_all.extend(online)
 
     if params is not None:
-        merged = cms.CountMinSketch.from_flat(params, seeds, total)
-        values_plain = cms.estimate_vector(merged)
+        values_plain = cms.estimate_vector(total, params, seeds)
     else:
         values_plain = total.astype(np.int64)
 

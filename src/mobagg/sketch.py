@@ -1,11 +1,12 @@
-"""Count-Min sketch with unsigned 32-bit counters.
+"""Count-Min sketch as a flat vector of unsigned 32-bit counters.
 
 The sketch compresses a sparse count vector of known index space into a
-``depth x width`` counter grid.  Estimates are upper bounds on the true
-count (never below it, absent counter wraparound), and two sketches built
-with identical parameters and seeds merge by plain counter addition, which
-makes the flattened grid safe to ship through the additive-masking
-aggregation layer.
+``depth x width`` counter grid, kept row-major as ``table_size`` uint32
+words: the vector that members mask and the aggregator sums. Estimates are
+upper bounds on the true count (never below it, absent counter wraparound).
+Two grids built with identical parameters and seeds add word by word, mod
+2**32, into the grid of the summed counts; no object is involved, so the
+grid ships through the additive-masking aggregation layer as it is.
 """
 
 from __future__ import annotations
@@ -106,140 +107,74 @@ def draw_seeds(depth: int, rng: random.Random) -> tuple[Seed, ...]:
     )
 
 
-class CountMinSketch:
-    """A Count-Min grid bound to fixed parameters and row seeds.
+def column_table(
+    params: SketchParams,
+    seeds: Sequence[Seed],
+    keys: Sequence[int] | np.ndarray,
+) -> np.ndarray:
+    """Column of every key in every row, shape (depth, len(keys)).
 
-    Counters are unsigned 32-bit and wrap modulo 2**32 on update and merge.
-    A sketch instance is single-writer; concurrent readers are safe once
-    updates stop.
+    Row r holds ((a_r*key + b_r) mod p) mod width. The seeds must be
+    ``params.depth`` pairs with 0 < a < p and 0 <= b < p, every key must
+    lie in [0, input_size), and input_size may not pass 2**63, the key range
+    of ``_row_hash``; anything else raises SketchParamsError.
     """
-
-    __slots__ = ("params", "seeds", "counters")
-
-    def __init__(
-        self,
-        params: SketchParams,
-        seeds: Sequence[Seed],
-        counters: np.ndarray | None = None,
-    ) -> None:
-        if len(seeds) != params.depth:
-            raise SketchParamsError(
-                f"need {params.depth} seed pairs, got {len(seeds)}"
-            )
-        for a, b in seeds:
-            if not (0 < a < HASH_PRIME):
-                raise SketchParamsError(f"row seed a={a} outside [1, p)")
-            if not (0 <= b < HASH_PRIME):
-                raise SketchParamsError(f"row seed b={b} outside [0, p)")
-        self.params = params
-        self.seeds = tuple((int(a), int(b)) for a, b in seeds)
-        if counters is None:
-            counters = np.zeros((params.depth, params.width), dtype=np.uint32)
-        else:
-            counters = np.asarray(counters, dtype=np.uint32)
-            if counters.shape != (params.depth, params.width):
-                raise SketchParamsError(
-                    f"counter shape {counters.shape} != "
-                    f"({params.depth}, {params.width})"
-                )
-            counters = counters.copy()
-        self.counters = counters
-
-    # --- hashing ---
-
-    def columns(self, key: int) -> tuple[int, ...]:
-        """Column index per row for ``key``: ((a*key + b) mod p) mod width."""
-        self._check_key(key)
-        w = self.params.width
-        return tuple((a * key + b) % HASH_PRIME % w for a, b in self.seeds)
-
-    def column_table(self, keys: np.ndarray) -> np.ndarray:
-        """Columns of many keys at once, shape (depth, len(keys)).
-
-        Row r of the result holds ``columns(key)[r]`` for every key.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        outside = (keys < 0) | (keys >= self.params.input_size)
-        if outside.any():
-            self._check_key(int(keys[outside][0]))
-        k = keys.astype(np.uint64)
-        k_hi, k_lo = k >> np.uint64(32), k & _LOW32
-        table = np.empty((self.params.depth, k.size), dtype=np.intp)
-        for row, (a, b) in enumerate(self.seeds):
-            table[row] = _row_hash(a, b, k_hi, k_lo) % np.uint64(self.params.width)
-        return table
-
-    def _check_key(self, key: int) -> None:
-        if not (0 <= key < self.params.input_size):
-            raise SketchParamsError(
-                f"key {key} outside [0, {self.params.input_size})"
-            )
-
-    # --- updates and queries ---
-
-    def update(self, key: int, amount: int = 1) -> None:
-        """Add ``amount`` (mod 2**32) to one counter per row."""
-        amt = np.uint32(int(amount) & 0xFFFFFFFF)
-        cols = np.fromiter(self.columns(key), dtype=np.intp, count=self.params.depth)
-        # array-indexed add wraps mod 2**32 without scalar-overflow noise
-        self.counters[np.arange(self.params.depth), cols] += amt
-
-    def estimate(self, key: int) -> int:
-        """Point estimate: the minimum counter across rows (>= true count)."""
-        return int(min(self.counters[row, col] for row, col in enumerate(self.columns(key))))
-
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        """Counter-wise sum; requires identical parameters and seeds."""
-        if self.params != other.params or self.seeds != other.seeds:
-            raise SketchParamsError("cannot merge sketches with mismatched parameters or seeds")
-        return CountMinSketch(self.params, self.seeds, self.counters + other.counters)
-
-    # --- transport ---
-
-    def flatten(self) -> np.ndarray:
-        """Row-major counter vector, suitable as a masked-aggregation input."""
-        return self.counters.reshape(-1).copy()
-
-    @classmethod
-    def from_flat(
-        cls,
-        params: SketchParams,
-        seeds: Sequence[Seed],
-        flat: Sequence[int] | np.ndarray,
-    ) -> "CountMinSketch":
-        arr = np.asarray(flat, dtype=np.uint32)
-        if arr.size != params.table_size:
-            raise SketchParamsError(
-                f"flat counter length {arr.size} != {params.table_size}"
-            )
-        return cls(params, seeds, arr.reshape(params.depth, params.width))
+    if params.input_size > 1 << 63:
+        raise SketchParamsError(f"input_size {params.input_size} > 2**63, too wide to hash")
+    if len(seeds) != params.depth:
+        raise SketchParamsError(f"need {params.depth} seed pairs, got {len(seeds)}")
+    for a, b in seeds:
+        if not (0 < a < HASH_PRIME):
+            raise SketchParamsError(f"row seed a={a} outside [1, p)")
+        if not (0 <= b < HASH_PRIME):
+            raise SketchParamsError(f"row seed b={b} outside [0, p)")
+    keys = np.asarray(keys, dtype=np.int64)
+    outside = (keys < 0) | (keys >= params.input_size)
+    if outside.any():
+        raise SketchParamsError(
+            f"key {int(keys[outside][0])} outside [0, {params.input_size})"
+        )
+    k = keys.astype(np.uint64)
+    k_hi, k_lo = k >> np.uint64(32), k & _LOW32
+    table = np.empty((params.depth, k.size), dtype=np.intp)
+    for row, (a, b) in enumerate(seeds):
+        table[row] = _row_hash(int(a), int(b), k_hi, k_lo) % np.uint64(params.width)
+    return table
 
 
 def encode_vector(
     values: Sequence[int] | np.ndarray,
     params: SketchParams,
     seeds: Sequence[Seed],
-) -> CountMinSketch:
-    """Sketch a dense count vector; index i is updated by values[i].
+) -> np.ndarray:
+    """The flat grid of a dense count vector: ``table_size`` uint32 words.
 
-    Equal to ``update(i, values[i])`` for every nonzero i: amounts are taken
-    mod 2**32 and counters wrap.
+    Index i adds values[i] mod 2**32 to one counter per row; counters wrap.
     """
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size != params.input_size:
         raise SketchParamsError(
             f"vector length {arr.size} != input_size {params.input_size}"
         )
-    sk = CountMinSketch(params, seeds)
     keys = np.flatnonzero(arr)
     amounts = (arr[keys].astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)
+    grid = np.zeros((params.depth, params.width), dtype=np.uint32)
     rows = np.arange(params.depth)[:, None]
-    np.add.at(sk.counters, (rows, sk.column_table(keys)), amounts)
-    return sk
+    np.add.at(grid, (rows, column_table(params, seeds, keys)), amounts)
+    return grid.reshape(-1)
 
 
-def estimate_vector(sketch: CountMinSketch) -> np.ndarray:
-    """Estimates for every key, as int64."""
-    keys = np.arange(sketch.params.input_size)
-    rows = np.arange(sketch.params.depth)[:, None]
-    return sketch.counters[rows, sketch.column_table(keys)].min(axis=0).astype(np.int64)
+def estimate_vector(
+    flat: Sequence[int] | np.ndarray,
+    params: SketchParams,
+    seeds: Sequence[Seed],
+) -> np.ndarray:
+    """Every key's estimate from a flat grid, as int64: the minimum of its counters."""
+    grid = np.asarray(flat, dtype=np.uint32)
+    if grid.size != params.table_size:
+        raise SketchParamsError(
+            f"flat counter length {grid.size} != {params.table_size}"
+        )
+    cols = column_table(params, seeds, np.arange(params.input_size))
+    rows = np.arange(params.depth)[:, None]
+    return grid.reshape(params.depth, params.width)[rows, cols].min(axis=0).astype(np.int64)

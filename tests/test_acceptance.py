@@ -18,7 +18,6 @@ from mobagg.forecast.correlate import average_ranks, spearman
 from mobagg.forecast.var import fit_var
 from mobagg.harness.pipeline import PipelineConfig, aic_orders, analyze_roi, run_pipeline
 from mobagg.harness.simulate import SimConfig
-from mobagg.harness.synth import correlated_pair, seasonal_series
 from mobagg.privagg import (
     GroupView,
     VectorMessage,
@@ -31,6 +30,8 @@ from mobagg.privagg import (
     recovery_share,
 )
 from mobagg.timeseries import deseasonalize, seasonal_profile
+
+from synth_series import correlated_pair, seasonal_series
 
 MOD = 1 << 32
 
@@ -133,19 +134,16 @@ def test_criterion_04_sketch_error_bound(record_property):
     params = cms.make_params(50, eps, delta)
     queries = violations = undercounts = 0
     for _ in range(1000):
-        sk = cms.CountMinSketch(params, cms.draw_seeds(params.depth, rng))
-        truth: dict[int, int] = {}
+        seeds = cms.draw_seeds(params.depth, rng)
+        counts = np.zeros(50, dtype=np.int64)
         for _ in range(60):
             key = rng.randrange(50)
-            amount = rng.randint(1, 20)
-            sk.update(key, amount)
-            truth[key] = truth.get(key, 0) + amount
-        total = sum(truth.values())
-        for key, count in truth.items():
-            est = sk.estimate(key)
-            queries += 1
-            violations += est > count + eps * total
-            undercounts += est < count
+            counts[key] += rng.randint(1, 20)
+        est = cms.estimate_vector(cms.encode_vector(counts, params, seeds), params, seeds)
+        seen = counts > 0
+        queries += int(seen.sum())
+        violations += int((est[seen] > counts[seen] + eps * counts.sum()).sum())
+        undercounts += int((est[seen] < counts[seen]).sum())
     rate = violations / queries
     ok = rate < delta and undercounts == 0
     _verdict(
@@ -260,13 +258,12 @@ def test_criterion_09_sketch_protocol_equivalence(record_property):
     seeds = cms.draw_seeds(params.depth, rng)
     sketches = []
     for _ in range(5):
-        sk = cms.CountMinSketch(params, seeds)
+        counts = np.zeros(200, dtype=np.int64)
         for _ in range(150):
-            sk.update(rng.randrange(200), rng.randint(1, 9))
-        sketches.append(sk)
-    merged = sketches[0]
-    for sk in sketches[1:]:
-        merged = merged.merge(sk)
+            key = rng.randrange(200)
+            counts[key] += rng.randint(1, 9)
+        sketches.append(cms.encode_vector(counts, params, seeds))
+    merged = np.sum(sketches, axis=0, dtype=np.uint32)
 
     member_ids = tuple(range(5))
     keys = {uid: keygen(rng) for uid in member_ids}
@@ -279,15 +276,13 @@ def test_criterion_09_sketch_protocol_equivalence(record_property):
     )
     ciphertexts = {
         uid: encrypt(
-            sketches[uid].flatten().astype(np.int64),
+            sketches[uid].astype(np.int64),
             blinding_factors(keys[uid], uid, group),
         )
         for uid in member_ids
     }
-    via_protocol = cms.CountMinSketch.from_flat(
-        params, seeds, aggregate(ciphertexts, group).values
-    )
-    tables_exact = np.array_equal(via_protocol.flatten(), merged.flatten())
+    via_protocol = aggregate(ciphertexts, group).values
+    tables_exact = np.array_equal(via_protocol, merged)
 
     # end-to-end: sketched collection must not move the forecast error
     base = dict(n_users=12, group_size=6, threshold=2, n_stations=3, seed=5)

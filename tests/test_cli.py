@@ -570,6 +570,22 @@ class TestSketchBenchCli:
         assert int(fields[7]) >= 0  # sketches never under-count
         assert 0.0 <= float(fields[8]) <= 1.0
 
+    def test_seeded_table_is_frozen(self, capsys):
+        assert main(["--seed", "7", "sketch-bench", "--items", "20000"]) == 0
+        assert capsys.readouterr().out == (
+            "  input_size  depth  width  counters     bytes       KB      KiB  max_over in_bound\n"
+            "       10000     14    272      3808     15232    15.23    14.88       360    1.000\n"
+            "     1000000     19    272      5168     20672    20.67    20.19       361    1.000\n"
+        )
+
+    def test_billion_key_space(self):
+        # only the drawn keys are hashed; a dense vector would need 8 GB
+        assert main(["sketch-bench", "--sizes", "1000000000", "--items", "500"]) == 0
+
+    def test_negative_items_exits_one(self, capsys):
+        assert main(["sketch-bench", "--sizes", "100", "--items", "-5"]) == 1
+        assert "--items" in capsys.readouterr().err
+
 
 class TestConfigAndUsage:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):

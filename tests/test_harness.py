@@ -43,7 +43,7 @@ from mobagg.harness.simulate import (
     simulate_round,
     synthesize_users,
 )
-from mobagg.harness.synth import seasonal_series, synthetic_counts
+from mobagg.harness.synth import synthetic_counts
 from mobagg.harness.transport import (
     CHUNK,
     DOWNLOAD,
@@ -65,6 +65,8 @@ from mobagg.privagg import (
     unframe,
 )
 from mobagg.timeseries import EpochSpec, deseasonalize, seasonal_profile
+
+from synth_series import seasonal_series
 
 
 class TestSynthesizeUsers:

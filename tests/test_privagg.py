@@ -474,7 +474,7 @@ class TestUniformitySmoke:
 
 class TestSketchThroughProtocol:
     def test_aggregated_flat_sketches_equal_merge(self):
-        from mobagg.sketch import CountMinSketch, draw_seeds, encode_vector, make_params
+        from mobagg.sketch import draw_seeds, encode_vector, make_params
 
         params = make_params(20, 0.2, 0.2)
         seeds = draw_seeds(params.depth, random.Random(31))
@@ -483,12 +483,11 @@ class TestSketchThroughProtocol:
         vectors = {u: rng.integers(0, 40, size=20) for u in group.member_ids}
         cts = {}
         for u in group.member_ids:
-            flat = encode_vector(vectors[u], params, seeds).flatten()
+            flat = encode_vector(vectors[u], params, seeds)
             cts[u] = encrypt(flat.astype(np.int64), blinding_factors(keys[u], u, group))
         summed = aggregate(cts, group).values
-        decoded = CountMinSketch.from_flat(params, seeds, summed)
         merged = encode_vector(sum(vectors.values()), params, seeds)
-        assert np.array_equal(decoded.counters, merged.counters)
+        assert np.array_equal(summed, merged)
 
 
 class TestAssignGroups:

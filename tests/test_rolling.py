@@ -6,8 +6,9 @@ import pytest
 import mobagg.forecast.rolling as rolling_mod
 from mobagg.forecast import FitError, enhanced_forecast, rolling_scan, select_order
 from mobagg.harness.pipeline import aic_orders, analyze_roi
-from mobagg.harness.synth import correlated_pair, seasonal_series
 from mobagg.timeseries import EpochSpec, RoiTimeSeries, deseasonalize, seasonal_profile
+
+from synth_series import correlated_pair, seasonal_series
 
 
 @pytest.fixture(scope="module")
