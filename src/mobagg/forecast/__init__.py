@@ -1,7 +1,7 @@
 """Forecasting, anomaly detection, and cross-ROI correlation."""
 
 from .anomaly import AnomalyEvent, detect_anomalies, rank_anomalies, thresholds
-from .arma import ArmaModel, FitError, css_innovations, fit_arma, forecast_one, select_order
+from .arma import ArmaModel, FitError, css_innovations, fit_arma, select_order
 from .correlate import CorrelationResult, average_ranks, correlated_rois, spearman
 from .enhanced import EnhancedForecast, enhanced_forecast
 from .reports import (
@@ -29,7 +29,6 @@ __all__ = [
     "enhanced_forecast",
     "fit_arma",
     "fit_var",
-    "forecast_one",
     "forecast_var",
     "lagged_design",
     "rank_anomalies",

@@ -396,25 +396,3 @@ def select_order(
         raise FitError(f"no ARMA order could be fitted: {last_error}")
     return best_orders
 
-
-def forecast_one(
-    model: ArmaModel,
-    history: Sequence[float] | np.ndarray,
-    residuals: Sequence[float] | np.ndarray | None = None,
-) -> float:
-    """One-step-ahead conditional mean given trailing history and innovations."""
-    h = np.asarray(history, dtype=np.float64)
-    if h.size < model.p:
-        raise ValueError(f"need at least {model.p} history values, got {h.size}")
-    value = model.const
-    for i in range(1, model.p + 1):
-        value += model.ar[i - 1] * h[-i]
-    if model.q:
-        if residuals is None:
-            raise ValueError("an MA model needs recent residuals")
-        r = np.asarray(residuals, dtype=np.float64)
-        if r.size < model.q:
-            raise ValueError(f"need at least {model.q} residuals, got {r.size}")
-        for j in range(1, model.q + 1):
-            value += model.ma[j - 1] * r[-j]
-    return float(value)

@@ -46,9 +46,10 @@ def enhanced_forecast(
     ``baseline`` is the target's one-day slice of its rolling scan; the test
     day, actuals and orders come from it. ``target`` is the series that scan
     modelled (de-seasonalized, or raw without a profile) and ``helpers`` are
-    de-seasonalized peers of its length. The VAR rolls through the day like
-    the scalar forecaster (truth fed back each slot, fit frozen at the day
-    boundary) and gets the baseline's seasonal offset back. The VAR order
+    de-seasonalized peers of its length. Like the scalar forecaster, the VAR
+    is frozen at the day boundary with truth fed back each slot, so its
+    forecast of y_t is y_t - e_t and one ``forecast_var`` call covers the day.
+    The forecasts get the baseline's seasonal offset back, and the VAR order
     is the baseline's AR order clamped to [1, 3].
     """
     if not helpers:
@@ -78,12 +79,7 @@ def enhanced_forecast(
 
     try:
         model = fit_var(data[w0:w1], p_var)
-        history = list(data[w0:w1])
-        preds = np.empty(epd)
-        for slot, t in enumerate(range(w1, w1 + epd)):
-            step = forecast_var(model, np.asarray(history[-model.p :]))
-            preds[slot] = step[0] + seasonal[slot]
-            history.append(data[t])
+        preds = forecast_var(model, data[w1 - p_var : w1 + epd])[:, 0] + seasonal
     except (CollinearInputs, ValueError, np.linalg.LinAlgError):
         return EnhancedForecast(
             roi_id=target.roi_id,

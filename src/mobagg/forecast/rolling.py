@@ -1,10 +1,12 @@
 """Rolling one-step-ahead forecasts over a de-seasonalized window.
 
-The forecaster works a day (``EPOCHS_PER_DAY`` hourly slots) at a time:
-refit on the trailing training window at the day boundary, then walk the
-day's slots predicting one step ahead and feeding the true observation back
-in before the next slot. Predictions are re-seasonalized before scoring, so
-errors are in observed-count units.
+The forecaster works a day (``EPOCHS_PER_DAY`` hourly slots) at a time: it
+refits on the trailing training window at the day boundary and freezes that
+fit for the day, learning each slot's true value before the next. A frozen
+model's one-step forecast of y_t is y_t - eps_t, where eps is its innovation
+recursion carried on through the day (Box & Jenkins, ch. 5), so one
+``css_innovations`` pass scores the whole day. Predictions are re-seasonalized
+before scoring, so errors are in observed-count units.
 Each day depends only on its own training window, so any run of days can be
 taken out of a longer scan (``RollingForecast.days``) unchanged.
 """
@@ -24,7 +26,7 @@ from ..timeseries import (
     deseasonalize,
     forecast_errors,
 )
-from .arma import ArmaModel, FitError, fit_arma, forecast_one
+from .arma import ArmaModel, FitError, css_innovations, fit_arma
 
 
 @dataclass(frozen=True)
@@ -108,44 +110,33 @@ def rolling_scan(
     if p < 0 or q < 0 or 10 * (p + q + 1) > train_days * epd:
         raise ValueError(f"ARMA({p},{q}) cannot fit a {train_days * epd}-slot training window")
 
-    predictions: list[float] = []
-    residuals: list[float] = []
+    d_hat = np.empty((n_days, epd))
     fallback: list[int] = []
     models: list[ArmaModel | None] = []
-
-    for day in range(start_day, start_day + n_days):
-        w0 = (day - train_days) * epd
-        w1 = day * epd
-        window = d[w0:w1]
+    for k, day in enumerate(range(start_day, start_day + n_days)):
+        w0, w1 = (day - train_days) * epd, day * epd
         try:
-            model = fit_arma(window, p, q)
+            model = fit_arma(d[w0:w1], p, q)
         except (FitError, ValueError, np.linalg.LinAlgError):
             model = None
         models.append(model)
-
-        history = list(window)
-        innovations = list(model.residuals) if model is not None else []
-        for t in range(w1, w1 + epd):
-            if model is None:
-                d_hat = 0.0 if profile is not None else float(window.mean())
-                fallback.append(t)
-            else:
-                d_hat = forecast_one(model, history, innovations)
-            predictions.append(d_hat + seasonal[t])
-            d_true = float(d[t])
-            residuals.append(d_true - d_hat)
-            history.append(d_true)
-            innovations.append(d_true - d_hat if model is not None else 0.0)
+        if model is None:
+            d_hat[k] = 0.0 if profile is not None else float(d[w0:w1].mean())
+            fallback.extend(range(w1, w1 + epd))
+        else:
+            eps = css_innovations(d[w0 : w1 + epd], model.const, model.ar, model.ma)
+            d_hat[k] = d[w1 : w1 + epd] - eps[-epd:]
 
     idx = np.arange(start_day * epd, scan_end)
     actuals = series.values[idx]
-    preds = np.asarray(predictions)
+    d_hat = d_hat.ravel()
+    preds = d_hat + seasonal[idx]
     return RollingForecast(
         roi_id=series.roi_id,
         epoch_indices=idx,
         actuals=actuals,
         predictions=preds,
-        residuals=np.asarray(residuals),
+        residuals=d[idx] - d_hat,
         errors=forecast_errors(actuals, preds),
         orders=(p, q),
         fallback_epochs=tuple(fallback),

@@ -24,8 +24,6 @@ class VarModel:
     p: int
     const: np.ndarray        # (k,)
     coef: np.ndarray         # (p, k, k); coef[i][m, j] = effect of series j at lag i+1 on series m
-    residual_cov: np.ndarray  # (k, k)
-    n_obs: int
 
 
 def lagged_design(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -49,8 +47,7 @@ def fit_var(data: np.ndarray, p: int) -> VarModel:
         raise ValueError("VAR needs at least two series; fit an ARMA model for one")
     if not np.isfinite(data).all():
         raise ValueError("series must be finite")
-    n_params = 1 + k * p
-    need = 10 * n_params
+    need = 10 * (1 + k * p)
     if n < need:
         raise ValueError(f"VAR({p}) over {k} series needs >= {need} observations, got {n}")
 
@@ -58,33 +55,28 @@ def fit_var(data: np.ndarray, p: int) -> VarModel:
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise CollinearInputs("collinear inputs")
     B, *_ = np.linalg.lstsq(X, resp, rcond=None)
-    resid = resp - X @ B
 
     coef = np.empty((p, k, k))
     for i in range(p):
         # Block rows for lag i+1, transposed so coef[i][m, j] multiplies
         # series j's value at lag i+1 in equation m.
         coef[i] = B[1 + i * k : 1 + (i + 1) * k].T
-    dof = resp.shape[0] - n_params
-    residual_cov = resid.T @ resid / dof
-    return VarModel(
-        k=k,
-        p=p,
-        const=B[0].copy(),
-        coef=coef,
-        residual_cov=residual_cov,
-        n_obs=n,
-    )
+    return VarModel(k=k, p=p, const=B[0].copy(), coef=coef)
 
 
-def forecast_var(model: VarModel, history: np.ndarray) -> np.ndarray:
-    """One-step-ahead conditional mean from the trailing ``p`` rows."""
-    h = np.asarray(history, dtype=np.float64)
+def forecast_var(model: VarModel, data: np.ndarray) -> np.ndarray:
+    """One-step conditional means of rows ``p`` onward, each from the ``p`` rows before it.
+
+    With the fit frozen and each true row fed back, the forecast of y_t is
+    y_t - e_t, e_t the model's innovation, so one call forecasts a whole day.
+    """
+    h = np.asarray(data, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.k:
-        raise ValueError(f"history must be (*, {model.k}), got {h.shape}")
-    if h.shape[0] < model.p:
-        raise ValueError(f"need at least {model.p} history rows, got {h.shape[0]}")
-    value = model.const.copy()
-    for i in range(1, model.p + 1):
-        value += model.coef[i - 1] @ h[-i]
-    return value
+        raise ValueError(f"data must be (*, {model.k}), got {h.shape}")
+    n = h.shape[0]
+    if n <= model.p:
+        raise ValueError(f"need more than {model.p} rows, got {n}")
+    means = model.const + h[model.p - 1 : n - 1] @ model.coef[0].T
+    for i in range(2, model.p + 1):
+        means += h[model.p - i : n - i] @ model.coef[i - 1].T
+    return means

@@ -141,8 +141,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_anomalies(args: argparse.Namespace) -> int:
     from ..forecast import rank_anomalies, write_anomaly_report
-    from .pipeline import analyze_rois
+    from .pipeline import _check_keep_fraction, analyze_rois
 
+    _check_keep_fraction(args.keep_fraction)
     out = _out_dir(args)
     series_set = read_series_csv(args.series)
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
@@ -163,8 +164,9 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
 
 def cmd_enhance(args: argparse.Namespace) -> int:
     from ..forecast import rolling_scan, write_enhancement_report
-    from .pipeline import aic_orders, enhance_roi
+    from .pipeline import _check_helper_search, aic_orders, enhance_roi
 
+    _check_helper_search(args.top_k, args.max_lag)
     out = _out_dir(args)
     series_set = read_series_csv(args.series)
     if series_set.n_rois < 2:

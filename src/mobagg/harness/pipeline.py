@@ -85,12 +85,28 @@ def __getattr__(name: str):
 
 
 def _check_scan_window(scan_start_day: int, train_days: int, calibration_days: int) -> None:
+    if train_days < 1:
+        raise ValueError("train_days must be >= 1")
     if calibration_days < 1:
         raise ValueError("calibration_days must be >= 1")
     if scan_start_day < train_days + calibration_days:
         raise ValueError(
             "scan_start_day needs train_days + calibration_days of history before it"
         )
+
+
+def _check_keep_fraction(keep_fraction: float) -> None:
+    # rank_anomalies' check, made before any collect round or fit
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError("keep_fraction must be in (0, 1]")
+
+
+def _check_helper_search(top_k: int, max_lag: int) -> None:
+    # correlated_rois' checks, made before any collect round or fit
+    if max_lag < 0:
+        raise ValueError("max_lag_epochs must be >= 0")
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,8 @@ class PipelineConfig:
         if self.weeks < 1:
             raise ValueError("weeks must be >= 1")
         _check_scan_window(self.scan_start_day, self.train_days, self.calibration_days)
+        _check_keep_fraction(self.keep_fraction)
+        _check_helper_search(self.top_k, self.max_lag)
 
 
 @dataclass(frozen=True)

@@ -439,9 +439,9 @@ def read_series_csv(csv_path: str | Path) -> SeriesSet:
     """Inverse of write_series_csv; round-trips counts bit-exactly.
 
     A missing sidecar field, an ``epoch_seconds`` other than 3600, or a CSV
-    row that is not three integers inside the sidecar's shape raises
-    ``ValueError`` (naming the sidecar or the row's line). The sidecar's
-    ``grid`` is not read back.
+    row that is not three integers inside the sidecar's shape, has a negative
+    count or repeats a cell raises ``ValueError`` (naming the sidecar or the
+    row's line). The sidecar's ``grid`` is not read back.
     """
     csv_path = Path(csv_path)
     sidecar = _sidecar(csv_path)
@@ -460,6 +460,7 @@ def read_series_csv(csv_path: str | Path) -> SeriesSet:
             f"{sidecar}: epoch_seconds is {epoch_seconds}; epochs are {EPOCH_SECONDS} s"
         )
     counts = np.zeros((n_rois, epochs.n_epochs), dtype=np.int64)
+    seen = np.zeros(counts.shape, dtype=bool)
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
@@ -470,5 +471,10 @@ def read_series_csv(csv_path: str | Path) -> SeriesSet:
                 raise ValueError(f"{where}: needs integer roi_id, epoch_index, count") from None
             if not (0 <= roi < n_rois and 0 <= epoch < epochs.n_epochs):
                 raise ValueError(f"{where}: roi {roi} or epoch {epoch} out of range")
+            if count < 0:
+                raise ValueError(f"{where}: count {count} is negative")
+            if seen[roi, epoch]:
+                raise ValueError(f"{where}: roi {roi} epoch {epoch} repeats an earlier row")
+            seen[roi, epoch] = True
             counts[roi, epoch] = count
     return SeriesSet(counts, epochs, dropped=int(meta.get("dropped", 0)))

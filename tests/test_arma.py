@@ -17,8 +17,10 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 import mobagg.forecast.arma as arma_mod
-from mobagg.forecast import ArmaModel, FitError, fit_arma, forecast_one, select_order
+from mobagg.forecast import ArmaModel, FitError, fit_arma, select_order
 from mobagg.forecast.arma import css_innovations
+
+from test_rolling import reference_one_step
 
 
 def ar1(phi, n, seed, sigma=1.0):
@@ -198,7 +200,7 @@ class TestFitArma:
         y = ar1(0.6, 400, seed=5)
         model = fit_arma(y, 2, 1)
         for t in (10, 100, 399):
-            pred = forecast_one(model, y[:t], model.residuals[:t])
+            pred = reference_one_step(model, y[:t], model.residuals[:t])
             assert pred + model.residuals[t] == pytest.approx(y[t], abs=1e-8)
 
     def test_aic_formula(self):
@@ -493,32 +495,24 @@ class TestSelectOrder:
 
 
 class TestForecastOne:
+    """A frozen model's one-step forecast of y_t is y_t - eps_t."""
+
     def test_intercept_only(self):
         model = fit_arma(np.full(50, 5.0), 0, 0)
-        assert forecast_one(model, []) == pytest.approx(5.0)
+        y = np.array([5.0, 2.0, 9.0])
+        eps = css_innovations(y, model.const, model.ar, model.ma)
+        assert np.allclose(y - eps, 5.0)
 
     def test_random_walk_step(self):
-        model = ArmaModel(p=1, q=0, const=0.0, ar=np.array([1.0]), ma=np.empty(0),
-                          sigma2=1.0, residuals=np.zeros(1), loglik=0.0, aic=0.0, n_obs=1)
-        assert forecast_one(model, [7.0, 42.0]) == 42.0
+        y = np.array([7.0, 42.0, 3.0])
+        eps = css_innovations(y, 0.0, np.array([1.0]), np.empty(0))
+        assert (y - eps)[1:].tolist() == [7.0, 42.0]
 
     def test_hand_arithmetic_p2_q1(self):
-        model = ArmaModel(p=2, q=1, const=1.0, ar=np.array([0.5, -0.25]),
-                          ma=np.array([0.3]), sigma2=1.0, residuals=np.zeros(3),
-                          loglik=0.0, aic=0.0, n_obs=3)
-        # 1 + 0.5*4 - 0.25*2 + 0.3*0.8 = 2.74
-        assert forecast_one(model, [9.0, 2.0, 4.0], residuals=[0.1, 0.8]) == pytest.approx(2.74)
-
-    def test_insufficient_history(self):
-        model = ArmaModel(p=2, q=0, const=0.0, ar=np.array([0.5, 0.1]), ma=np.empty(0),
-                          sigma2=1.0, residuals=np.zeros(2), loglik=0.0, aic=0.0, n_obs=2)
-        with pytest.raises(ValueError):
-            forecast_one(model, [1.0])
-
-    def test_ma_model_requires_residuals(self):
-        model = ArmaModel(p=0, q=1, const=0.0, ar=np.empty(0), ma=np.array([0.5]),
-                          sigma2=1.0, residuals=np.zeros(1), loglik=0.0, aic=0.0, n_obs=1)
-        with pytest.raises(ValueError):
-            forecast_one(model, [1.0])
-        with pytest.raises(ValueError):
-            forecast_one(model, [1.0], residuals=[])
+        # eps_2 = 4 - (1 + 0.5*2 - 0.25*9) = 4.25, so whatever y_3 is its
+        # forecast is 1 + 0.5*4 - 0.25*2 + 0.3*4.25 = 3.775
+        for y3 in (0.0, 3.775, 100.0):
+            y = np.array([9.0, 2.0, 4.0, y3])
+            eps = css_innovations(y, 1.0, np.array([0.5, -0.25]), np.array([0.3]))
+            assert eps[2] == pytest.approx(4.25)
+            assert y[3] - eps[3] == pytest.approx(3.775)

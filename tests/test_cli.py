@@ -378,10 +378,13 @@ class TestAnomaliesCli:
 
     def test_out_of_range_series_row_exits_one(self, tmp_path, capsys):
         series = write_series(tmp_path, synth_counts(1, 672))
-        series.write_text("roi_id,epoch_index,count\n0,0,5\n1,0,5\n")
-        code = main(["--out", str(tmp_path / "out"), "anomalies", "--series", str(series)])
-        assert code == 1
-        assert "line 3" in capsys.readouterr().err
+        for row, problem in [("1,0,5", "out of range"), ("0,0,999", "repeats"),
+                             ("0,5,-3", "is negative")]:
+            series.write_text(f"roi_id,epoch_index,count\n0,0,5\n{row}\n")
+            code = main(["--out", str(tmp_path / "out"), "anomalies", "--series", str(series)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"{series} line 3: " in err and problem in err
 
 
 SIM_3 = SimConfig(n_users=8, group_size=4, threshold=2, mode="station", n_stations=3)
@@ -633,3 +636,24 @@ class TestConfigAndUsage:
 
     def test_missing_required_flag_exits_one(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "ingest", "--kind", "station"]) == 1
+
+    @pytest.mark.parametrize("command, message", [
+        # one quiet day flags no slot, which let keep_fraction 0 through
+        (["anomalies", "--start-day", "13", "--days", "1", "--keep-fraction", "0"],
+         "keep_fraction must be in (0, 1]"),
+        (["anomalies", "--train-days", "0"], "train_days must be >= 1"),
+        (["enhance", "--target", "0", "--top-k", "0"], "top_k must be >= 1"),
+        (["enhance", "--target", "0", "--max-lag", "-1"], "max_lag_epochs must be >= 0"),
+    ], ids=["keep-fraction", "train-days", "top-k", "max-lag"])
+    def test_bad_analytics_setting_exits_one_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, command, message,
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the settings were checked")
+
+        monkeypatch.setattr(rolling_mod, "fit_arma", no_fit)
+        monkeypatch.setattr(arma_mod, "fit_arma", no_fit)
+        series = write_series(tmp_path, synth_counts(2, 672))
+        argv = ["--out", str(tmp_path / "out"), command[0], "--series", str(series), *command[1:]]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err

@@ -696,6 +696,16 @@ class TestPipeline:
             PipelineConfig(sim=SIM, scan_start_day=11)  # needs 5 + 7 days before it
         with pytest.raises(ValueError):
             PipelineConfig(sim=SIM, weeks=0)
+        # rejected before any collect round, not after the scan
+        for field, value, message in [
+            ("keep_fraction", 0.0, "keep_fraction must be in"),
+            ("keep_fraction", 1.5, "keep_fraction must be in"),
+            ("top_k", 0, "top_k must be >= 1"),
+            ("max_lag", -1, "max_lag_epochs must be >= 0"),
+            ("train_days", 0, "train_days must be >= 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                PipelineConfig(sim=SIM, **{field: value})
 
 
 def assert_same_scan(a, b):

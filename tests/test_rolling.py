@@ -1,12 +1,20 @@
 """Rolling day-by-day forecasting, error calibration, and VAR enhancement."""
 
+from itertools import count
+
 import numpy as np
 import pytest
 
 import mobagg.forecast.rolling as rolling_mod
 from mobagg.forecast import FitError, enhanced_forecast, rolling_scan, select_order
 from mobagg.harness.pipeline import aic_orders, analyze_roi
-from mobagg.timeseries import EpochSpec, RoiTimeSeries, deseasonalize, seasonal_profile
+from mobagg.timeseries import (
+    EPOCHS_PER_DAY,
+    EpochSpec,
+    RoiTimeSeries,
+    deseasonalize,
+    seasonal_profile,
+)
 
 from synth_series import correlated_pair, seasonal_series
 
@@ -16,6 +24,46 @@ def noisy_fixture():
     rng = np.random.default_rng(0)
     series = seasonal_series(0, 4, rng, phi=0.6, sigma=6.0)
     return series, seasonal_profile(series)
+
+
+def reference_one_step(model, history, innovations):
+    """The ARMA one-step mean from trailing values and innovations."""
+    value = model.const
+    for i in range(1, model.p + 1):
+        value += model.ar[i - 1] * history[-i]
+    for j in range(1, model.q + 1):
+        value += model.ma[j - 1] * innovations[-j]
+    return float(value)
+
+
+def reference_scan(series, profile, start_day, n_days, orders, train_days=5):
+    """Rolling forecasts slot by slot: (predictions, residuals) as arrays.
+
+    Each day refits through ``rolling_mod.fit_arma``, then forecasts a slot,
+    appends its true value and innovation, and forecasts the next.
+    """
+    epd = EPOCHS_PER_DAY
+    d = series.values if profile is None else deseasonalize(series, profile).values
+    seasonal = series.values - d
+    predictions, residuals = [], []
+    for day in range(start_day, start_day + n_days):
+        window = d[(day - train_days) * epd : day * epd]
+        try:
+            model = rolling_mod.fit_arma(window, *orders)
+        except FitError:
+            model = None
+        history = list(window)
+        innovations = [] if model is None else list(model.residuals)
+        for t in range(day * epd, (day + 1) * epd):
+            if model is None:
+                d_hat = 0.0 if profile is not None else float(window.mean())
+            else:
+                d_hat = reference_one_step(model, history, innovations)
+            predictions.append(d_hat + seasonal[t])
+            residuals.append(d[t] - d_hat)
+            history.append(d[t])
+            innovations.append(d[t] - d_hat)
+    return np.asarray(predictions), np.asarray(residuals)
 
 
 class TestRollingForecast:
@@ -106,6 +154,43 @@ class TestRollingForecast:
         result = rolling_scan(series, None, 25, 1, (1, 0))
         window_mean = series.values[480:600].mean()
         assert np.allclose(result.predictions, window_mean)
+
+
+class TestOnePassScan:
+    """A day's one-step forecasts of its frozen model are y_t - eps_t."""
+
+    @pytest.mark.parametrize("orders, raw, fallback", [
+        ((2, 1), False, False),
+        ((0, 2), False, False),
+        ((1, 0), False, False),
+        ((1, 1), True, False),
+        ((1, 1), False, True),
+        ((2, 0), True, True),
+    ], ids=["arma21", "arma02", "ar1", "raw", "fallback", "raw-fallback"])
+    def test_matches_the_slot_by_slot_recursion(
+        self, noisy_fixture, monkeypatch, orders, raw, fallback,
+    ):
+        series, profile = noisy_fixture
+        profile = None if raw else profile
+        if fallback:
+            fit, calls = rolling_mod.fit_arma, count()
+
+            def flaky(window, p, q):
+                # both scans fit days 20, 21 and 22 in order; day 21 fails
+                if next(calls) % 3 == 1:
+                    raise FitError("forced")
+                return fit(window, p, q)
+
+            monkeypatch.setattr(rolling_mod, "fit_arma", flaky)
+        scan = rolling_scan(series, profile, 20, 3, orders)
+        predictions, residuals = reference_scan(series, profile, 20, 3, orders)
+        assert np.allclose(scan.predictions, predictions, rtol=0, atol=1e-9)
+        assert np.allclose(scan.residuals, residuals, rtol=0, atol=1e-9)
+        if fallback:
+            assert scan.fallback_epochs == tuple(range(504, 528))
+            assert scan.models[1] is None
+        else:
+            assert scan.fallback_epochs == ()
 
 
 class TestCalibrateResiduals:

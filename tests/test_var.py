@@ -53,14 +53,6 @@ class TestFitVar:
         model = fit_var(np.column_stack([a, b]), 1)
         assert np.max(np.abs(model.coef[0])) < 0.1
 
-    def test_residual_covariance_is_symmetric_psd(self):
-        A = np.array([[0.4, 0.1], [0.0, 0.3]])
-        y = var1_sample(A, 800, seed=31)
-        model = fit_var(y, 1)
-        cov = model.residual_cov
-        assert np.allclose(cov, cov.T)
-        assert np.linalg.eigvalsh(cov).min() >= 0
-
     def test_single_series_rejected(self):
         with pytest.raises(ValueError):
             fit_var(np.ones((100, 1)), 1)
@@ -88,18 +80,18 @@ class TestForecastVar:
             p=1,
             const=np.array([1.0, 0.0]),
             coef=np.array([[[0.5, 0.2], [0.0, 0.4]]]),
-            residual_cov=np.eye(2),
-            n_obs=10,
         )
 
     def test_hand_arithmetic(self):
-        pred = forecast_var(self.model(), np.array([[2.0, 10.0]]))
+        pred = forecast_var(self.model(), np.array([[2.0, 10.0], [0.0, 0.0]]))
         # [1 + 0.5*2 + 0.2*10, 0 + 0.4*10]
-        assert np.allclose(pred, [4.0, 4.0])
+        assert pred.shape == (1, 2)
+        assert np.allclose(pred, [[4.0, 4.0]])
 
     def test_uses_trailing_rows_only(self):
-        history = np.array([[99.0, 99.0], [2.0, 10.0]])
-        assert np.allclose(forecast_var(self.model(), history), [4.0, 4.0])
+        # each row's forecast reads only the p rows before it
+        data = np.array([[99.0, 99.0], [2.0, 10.0], [0.0, 0.0]])
+        assert np.allclose(forecast_var(self.model(), data)[1], [4.0, 4.0])
 
     def test_two_lag_arithmetic(self):
         model = VarModel(
@@ -110,27 +102,35 @@ class TestForecastVar:
                 [[0.5, 0.0], [0.0, 0.5]],
                 [[0.25, 0.0], [0.0, -0.25]],
             ]),
-            residual_cov=np.eye(2),
-            n_obs=10,
         )
-        history = np.array([[4.0, 8.0], [2.0, 2.0]])
+        data = np.array([[4.0, 8.0], [2.0, 2.0], [0.0, 0.0]])
         # lag1 row [2,2], lag2 row [4,8]
-        assert np.allclose(forecast_var(model, history), [2.0, -1.0])
+        assert np.allclose(forecast_var(model, data), [[2.0, -1.0]])
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            forecast_var(self.model(), np.zeros((1, 3)))
+            forecast_var(self.model(), np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            forecast_var(self.model(), np.zeros((0, 2)))
+            forecast_var(self.model(), np.zeros((1, 2)))
 
     def test_one_step_consistency_with_fit_residuals(self):
         A = np.array([[0.5, 0.2], [0.1, 0.4]])
         y = var1_sample(A, 300, seed=41)
         model = fit_var(y, 1)
+        pred = forecast_var(model, y)
         resp, X = lagged_design(y, 1)
-        for t in (0, 150, 298):
-            pred = forecast_var(model, y[t : t + 1])
-            # prediction + residual reproduces the observation
-            B = np.column_stack([model.const, model.coef[0]])
-            resid = resp[t] - (B @ np.concatenate(([1.0], y[t])))
-            assert np.allclose(pred + resid, y[t + 1], atol=1e-8)
+        B = np.vstack([model.const, model.coef[0].T])
+        # prediction + residual reproduces the observation
+        assert np.allclose(pred + (resp - X @ B), y[1:], atol=1e-8)
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(43)
+        y = rng.normal(0, 1, size=(200, 3)).cumsum(axis=0) * 0.1 + rng.normal(0, 1, (200, 3))
+        model = fit_var(y, 3)
+        reference = []
+        for t in range(model.p, len(y)):
+            value = model.const.copy()
+            for i in range(1, model.p + 1):
+                value += model.coef[i - 1] @ y[t - i]
+            reference.append(value)
+        assert np.allclose(forecast_var(model, y), reference, rtol=0, atol=1e-9)
