@@ -42,6 +42,7 @@ from ..privagg import (
     encode_vector_message,
     encrypt,
     keygen,
+    plaintext_words,
     recover_aggregate,
     recovery_share,
     VectorMessage,
@@ -195,7 +196,9 @@ def member_submit(
     announced seeds when the deployment sketches (``params``), masks the
     result and encodes it. It also returns the view it decoded, which it keeps
     for a recovery request. A vector length or sketch seeds that do not fit
-    the deployment raise ProtocolError before any mask is expanded.
+    the deployment raise ProtocolError before any mask is expanded. A
+    plaintext entry outside [0, 2**32) raises ProtocolError with ``encrypt``'s
+    message; a sketch round checks it before sketching, which would wrap it.
     """
     view = decode_announcement(announcement)
     expected = params.table_size if params else plain.size
@@ -208,8 +211,9 @@ def member_submit(
             raise ProtocolError("announced sketch seeds, but this deployment does not sketch")
         vector = plain
     else:
+        words = plaintext_words(plain)
         try:
-            vector = cms.encode_vector(plain, params, view.sketch_seeds or ())
+            vector = cms.encode_vector(words, params, view.sketch_seeds or ())
         except cms.SketchParamsError as exc:
             raise ProtocolError(f"announced sketch seeds do not fit: {exc}") from None
     entries = encrypt(vector, blinding_factors(own, own_id, view))

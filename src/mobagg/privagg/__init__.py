@@ -11,6 +11,7 @@ from .masking import (
     blinding_factors,
     encrypt,
     mask_stream,
+    plaintext_words,
     recover_aggregate,
     recovery_share,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "frame",
     "keygen",
     "mask_stream",
+    "plaintext_words",
     "recover_aggregate",
     "recovery_share",
     "shared_point",

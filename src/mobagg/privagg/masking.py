@@ -25,6 +25,17 @@ When some members never submit, each surviving member reveals the partial
 mask sum it shared with the missing ones (its recovery share), and the
 aggregator subtracts those to restore exact cancellation over the survivors.
 
+A member sums its streams a block at a time, for its mask as for a recovery
+share. It splits its pair keys by sign, seals each key's zero plaintext in
+one call, joins the sealed outputs of up to ``_BLOCK_BYTES`` (64 KiB, or one
+stream if that is longer), views the block as one row of words per stream and
+sums the rows in one NumPy call. So its array calls grow with the bytes it
+expands, not with its peer count, and besides its result it holds at most
+one block, its parts and its sum: at the 338,724-word OD width, all 49 peers'
+streams at once would take 66 MB. It keeps no cipher object: one holds about
+2.3 KB, so a cipher per pair key would add about 22 MB over the 9,800 pairs
+of a 200-member cohort.
+
 All vector arithmetic is unsigned 32-bit with wraparound; masks and
 ciphertexts are uniform-looking words, and a single ciphertext reveals
 nothing about its plaintext without the matching mask stream.
@@ -52,7 +63,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Collection, Mapping, Sequence, Tuple
+from typing import Collection, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -68,8 +79,15 @@ MAX_VECTOR_LENGTH = 1 << 24
 # string, so the ChaCha20 key is SHA-256 of this tag and the point, never the
 # bare point.
 _PAIR_KEY_TAG = b"mobagg privagg pair mask key v1\x00"
-# Parsed once: mask_stream runs once per pair and round, often on short vectors.
+# Parsed once: every block of every member's mask sum is read with it.
 _MASK_WORD = np.dtype("<u4")
+# Most sealed keystream bytes that one block of a member's mask sum joins (a
+# block holds at least one stream). Large enough that a block's few array calls
+# cost little next to its keystream, and half of glibc's default 128 KiB mmap
+# threshold, so the join reuses heap pages. Larger blocks fault in fresh pages:
+# 256 KiB blocks took four times the page faults per round-sketch round, and
+# 1 MiB blocks up to 20% longer per member at 3,264 words (2-CPU x86-64 host).
+_BLOCK_BYTES = 1 << 16
 
 
 class ProtocolError(ValueError):
@@ -135,23 +153,43 @@ class AggregateResult:
 
 # --- mask stream derivation ---
 
+def _stream_blocks(
+    keys: Sequence[bytes], round_id: int, length: int
+) -> Iterator[np.ndarray]:
+    """The round's mask streams under ``keys``, as read-only (k, length) word blocks.
+
+    Each stream is the ChaCha20-Poly1305 encryption of 4 * length zero bytes
+    under its key, with nonce round_id as 8-byte little-endian followed by 4
+    zero bytes, and its 16-byte tag dropped. One call per key, and no cipher
+    object kept. The sealed outputs are joined into blocks of at most
+    ``_BLOCK_BYTES`` (or one stream, if that is longer), so a caller that
+    consumes each block before asking for the next never holds more.
+    """
+    nonce = round_id.to_bytes(12, "little")
+    zeros = bytes(4 * length)
+    per_block = max(1, _BLOCK_BYTES // (4 * length + 16))
+    for start in range(0, len(keys), per_block):
+        sealed = b"".join([
+            ChaCha20Poly1305(key).encrypt(nonce, zeros, None)
+            for key in keys[start : start + per_block]
+        ])
+        yield np.frombuffer(sealed, _MASK_WORD).reshape(-1, length + 4)[:, :length]
+
+
 def mask_stream(key: bytes, round_id: int, length: int) -> np.ndarray:
     """The 32-bit mask words one pair key derives for a round.
 
     The stream is the ChaCha20 keystream (RFC 8439) under the 32-byte
     ``key`` from block counter 1, with the 12-byte nonce round_id as 8-byte
-    little-endian followed by 4 zero bytes, read as little-endian 32-bit words.
-    It is computed as the ChaCha20-Poly1305 encryption of 4 * length zero
-    bytes with the tag dropped: one call, and no cipher object kept per pair.
-    The returned array is read-only.
+    little-endian followed by 4 zero bytes, read as little-endian 32-bit words
+    (``_stream_blocks`` computes it). The returned array is read-only.
     """
     if not (0 <= round_id < 1 << 64):
         raise ProtocolError(f"round_id {round_id} outside [0, 2**64)")
     if not (1 <= length <= MAX_VECTOR_LENGTH):
         raise ProtocolError(f"stream length {length} outside [1, {MAX_VECTOR_LENGTH}]")
-    nonce = round_id.to_bytes(12, "little")
-    sealed = ChaCha20Poly1305(key).encrypt(nonce, bytes(4 * length), None)
-    return np.frombuffer(sealed, _MASK_WORD, length)
+    (block,) = _stream_blocks((key,), round_id, length)
+    return block[0]
 
 
 def _pair_key(own: KeyPair, peer_public: bytes) -> bytes:
@@ -178,22 +216,25 @@ def _signed_stream_sum(
     group: GroupView,
     peers: Sequence[int],
 ) -> np.ndarray:
-    """Sum of pair streams toward ``peers``, signed by relative position."""
+    """Sum of pair streams toward ``peers``, signed by relative position.
+
+    Streams toward higher positions add and those toward lower ones subtract;
+    each block of streams is summed in one call.
+    """
     pos = group.position_of(own_id)
-    total = np.zeros(group.vector_length, dtype=np.uint32)
+    plus: list[bytes] = []
+    minus: list[bytes] = []
     for peer in peers:
         peer_pos = group.position_of(peer)
         if peer_pos == pos:
             raise ProtocolError("a member has no pair stream with itself")
-        stream = mask_stream(
-            _pair_key(own, group.public_keys[peer]),
-            group.round_id,
-            group.vector_length,
-        )
-        if pos < peer_pos:
-            total += stream
-        else:
-            total -= stream
+        key = _pair_key(own, group.public_keys[peer])
+        (plus if pos < peer_pos else minus).append(key)
+    total = np.zeros(group.vector_length, dtype=np.uint32)
+    for block in _stream_blocks(plus, group.round_id, group.vector_length):
+        total += block.sum(axis=0, dtype=np.uint32)
+    for block in _stream_blocks(minus, group.round_id, group.vector_length):
+        total -= block.sum(axis=0, dtype=np.uint32)
     return total
 
 
@@ -206,6 +247,20 @@ def blinding_factors(own: KeyPair, own_id: int, group: GroupView) -> np.ndarray:
     return _signed_stream_sum(own, own_id, group, peers)
 
 
+def plaintext_words(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """A plaintext count vector as uint32 words.
+
+    Raises ProtocolError unless every entry is an integer in [0, 2**32).
+    """
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ProtocolError("plaintext entries must be integers")
+    as64 = arr.astype(np.int64, copy=False)
+    if as64.min(initial=0) < 0 or as64.max(initial=0) >= MASK_MODULUS:
+        raise ProtocolError("plaintext entries must lie in [0, 2**32)")
+    return arr.astype(np.uint32)
+
+
 def encrypt(values: Sequence[int] | np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Mask a plaintext count vector: (S + k) mod 2**32."""
     arr = np.asarray(values)
@@ -213,12 +268,7 @@ def encrypt(values: Sequence[int] | np.ndarray, factors: np.ndarray) -> np.ndarr
         raise ProtocolError(
             f"plaintext shape {arr.shape} does not match factors {factors.shape}"
         )
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ProtocolError("plaintext entries must be integers")
-    as64 = arr.astype(np.int64, copy=False)
-    if as64.min(initial=0) < 0 or as64.max(initial=0) >= MASK_MODULUS:
-        raise ProtocolError("plaintext entries must lie in [0, 2**32)")
-    return arr.astype(np.uint32) + factors
+    return plaintext_words(arr) + factors
 
 
 def aggregate(

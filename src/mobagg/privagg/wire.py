@@ -34,6 +34,14 @@ def frame(header: dict, body: bytes = b"") -> bytes:
     return _LEN.pack(len(head)) + head + _LEN.pack(len(body)) + body
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose names are distinct; a repeated name would drop a value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ProtocolError("frame header repeats a name within an object")
+    return obj
+
+
 def unframe(blob: bytes) -> tuple[dict, bytes]:
     if len(blob) < 2 * _LEN.size:
         raise ProtocolError("truncated frame")
@@ -42,7 +50,9 @@ def unframe(blob: bytes) -> tuple[dict, bytes]:
     if len(blob) < head_end + _LEN.size:
         raise ProtocolError("truncated frame header")
     try:
-        header = json.loads(blob[_LEN.size : head_end].decode())
+        header = json.loads(blob[_LEN.size : head_end].decode(), object_pairs_hook=_object)
+    except ProtocolError:
+        raise
     except (ValueError, RecursionError):  # bad UTF-8, bad JSON, too deep
         raise ProtocolError("frame header is not JSON") from None
     if not isinstance(header, dict):
@@ -87,11 +97,17 @@ def decode_announcement(blob: bytes) -> GroupView:
     header, body = unframe(blob)
     if header.get("type") != "round" or body:
         raise ProtocolError("not a round announcement")
+    members = tuple(_ints(header.get("members"), "members"))
     hex_keys = header.get("public_keys")
     if not isinstance(hex_keys, dict):
         raise ProtocolError("public_keys must be an object")
+    # One name per member, spelled as encode_announcement writes it, so no
+    # two spellings of an id ("1", "01", " +1") can stand for one member.
+    names = [str(uid) for uid in members]
+    if hex_keys.keys() != set(names):
+        raise ProtocolError("public_keys must name every member once, by its decimal id")
     try:
-        public_keys = {int(uid): bytes.fromhex(hexkey) for uid, hexkey in hex_keys.items()}
+        public_keys = {uid: bytes.fromhex(hex_keys[name]) for uid, name in zip(members, names)}
     except (TypeError, ValueError):
         raise ProtocolError("public_keys must map user ids to hex keys") from None
     seeds = header.get("sketch_seeds")
@@ -101,7 +117,7 @@ def decode_announcement(blob: bytes) -> GroupView:
         seeds = tuple((_int(a, "sketch_seeds"), _int(b, "sketch_seeds")) for a, b in seeds)
     return GroupView(
         round_id=_int(header.get("round_id"), "round_id"),
-        member_ids=tuple(_ints(header.get("members"), "members")),
+        member_ids=members,
         public_keys=public_keys,
         vector_length=_int(header.get("vector_length"), "vector_length"),
         sketch_seeds=seeds,

@@ -33,25 +33,29 @@ def _fold(x: np.ndarray) -> np.ndarray:
     return (x & _P) + (x >> np.uint64(61))
 
 
-def _row_hash(a: int, b: int, k_hi: np.ndarray, k_lo: np.ndarray) -> np.ndarray:
+def _row_hash(a: np.ndarray, b: np.ndarray, k_hi: np.ndarray, k_lo: np.ndarray) -> np.ndarray:
     """(a*k + b) mod (2**61 - 1), exactly, for k = k_hi*2**32 + k_lo < 2**63.
 
-    Splits a and k into 32-bit halves (Cormode & Muthukrishnan 2005) so that
-    every partial product fits in uint64, then folds with 2**61 = 1 (mod p):
-    2**64 = 8, and mid*2**32 = (mid >> 29)*2**61 + (mid mod 2**29)*2**32.
-    The five terms sum to below 2**64.
+    ``a`` and ``b`` are uint64 arrays that broadcast against the uint64 key
+    halves: a (depth, 1) seed column hashes every key in every row in one
+    call. Splits a and k into 32-bit halves (Cormode & Muthukrishnan 2005) so
+    that every partial product fits in uint64, then folds with 2**61 = 1
+    (mod p): 2**64 = 8, and mid*2**32 = (mid >> 29)*2**61 + (mid mod 2**29)*2**32.
+    The five terms sum to below 2**64. After the last fold the sum is below
+    2*p; where it is below p, subtracting p wraps above it, so the minimum of
+    the two is the residue.
     """
-    a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & 0xFFFFFFFF)
+    a_hi, a_lo = a >> np.uint64(32), a & _LOW32
     mid = a_hi * k_lo + a_lo * k_hi
     total = (
         _fold(a_lo * k_lo)
         + (mid >> np.uint64(29))
         + ((mid & _LOW29) << np.uint64(32))
         + ((a_hi * k_hi) << np.uint64(3))
-        + np.uint64(b)
+        + b
     )
     total = _fold(total)
-    return np.where(total >= _P, total - _P, total)
+    return np.minimum(total, total - _P)
 
 
 class SketchParamsError(ValueError):
@@ -114,10 +118,11 @@ def column_table(
 ) -> np.ndarray:
     """Column of every key in every row, shape (depth, len(keys)).
 
-    Row r holds ((a_r*key + b_r) mod p) mod width. The seeds must be
-    ``params.depth`` pairs with 0 < a < p and 0 <= b < p, every key must
-    lie in [0, input_size), and input_size may not pass 2**63, the key range
-    of ``_row_hash``; anything else raises SketchParamsError.
+    Row r holds ((a_r*key + b_r) mod p) mod width; one ``_row_hash`` call
+    hashes all rows, with the seeds as a (depth, 1) uint64 column. The seeds
+    must be ``params.depth`` pairs with 0 < a < p and 0 <= b < p, every key
+    must lie in [0, input_size), and input_size may not pass 2**63, the key
+    range of ``_row_hash``; anything else raises SketchParamsError.
     """
     if params.input_size > 1 << 63:
         raise SketchParamsError(f"input_size {params.input_size} > 2**63, too wide to hash")
@@ -135,11 +140,18 @@ def column_table(
             f"key {int(keys[outside][0])} outside [0, {params.input_size})"
         )
     k = keys.astype(np.uint64)
-    k_hi, k_lo = k >> np.uint64(32), k & _LOW32
-    table = np.empty((params.depth, k.size), dtype=np.intp)
-    for row, (a, b) in enumerate(seeds):
-        table[row] = _row_hash(int(a), int(b), k_hi, k_lo) % np.uint64(params.width)
-    return table
+    column = np.array(seeds, dtype=np.uint64)
+    hashes = _row_hash(column[:, :1], column[:, 1:], k >> np.uint64(32), k & _LOW32)
+    # h - (h // width) * width is h mod width; NumPy divides by a scalar
+    # with a precomputed reciprocal, but its remainder divides each word.
+    width = np.uint64(params.width)
+    return (hashes - hashes // width * width).astype(np.intp)
+
+
+def _flat_index(params: SketchParams, seeds: Sequence[Seed], keys: np.ndarray) -> np.ndarray:
+    """Flat grid index row * width + column of every key in every row, (depth, len(keys))."""
+    offsets = np.arange(0, params.table_size, params.width)[:, None]
+    return column_table(params, seeds, keys) + offsets
 
 
 def encode_vector(
@@ -158,10 +170,11 @@ def encode_vector(
         )
     keys = np.flatnonzero(arr)
     amounts = (arr[keys].astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)
-    grid = np.zeros((params.depth, params.width), dtype=np.uint32)
-    rows = np.arange(params.depth)[:, None]
-    np.add.at(grid, (rows, column_table(params, seeds, keys)), amounts)
-    return grid.reshape(-1)
+    grid = np.zeros(params.table_size, dtype=np.uint32)
+    # One 1-D add.at with the amounts tiled to the index; NumPy 2.4's add.at
+    # misreads broadcast amounts under a 2-D index.
+    np.add.at(grid, _flat_index(params, seeds, keys).ravel(), np.tile(amounts, params.depth))
+    return grid
 
 
 def estimate_vector(
@@ -175,6 +188,5 @@ def estimate_vector(
         raise SketchParamsError(
             f"flat counter length {grid.size} != {params.table_size}"
         )
-    cols = column_table(params, seeds, np.arange(params.input_size))
-    rows = np.arange(params.depth)[:, None]
-    return grid.reshape(params.depth, params.width)[rows, cols].min(axis=0).astype(np.int64)
+    index = _flat_index(params, seeds, np.arange(params.input_size))
+    return grid[index].min(axis=0).astype(np.int64)

@@ -355,13 +355,25 @@ class TestHostileRound:
 
     @pytest.mark.parametrize("length", [2**40, 7], ids=["2**40", "wrong-length"])
     def test_announced_length_expands_no_mask(self, length, monkeypatch):
+        # members expand every pair stream through this one keystream helper
         calls = []
-        real = masking_mod.mask_stream
-        monkeypatch.setattr(masking_mod, "mask_stream", lambda *a: calls.append(a) or real(*a))
+        real = masking_mod._stream_blocks
+        monkeypatch.setattr(masking_mod, "_stream_blocks", lambda *a: calls.append(a) or real(*a))
         bus = TamperingTransport("round", lambda h: {**h, "vector_length": length})
         with pytest.raises(ProtocolError, match="vector_length"):
             self.run(self.STATION, bus)
         assert calls == []
+
+    @pytest.mark.parametrize("cfg", [STATION, SKETCH], ids=["station", "sketch"])
+    @pytest.mark.parametrize("count", [-1, 2**32])
+    def test_count_outside_words_rejected(self, cfg, count):
+        # a sketch would wrap -1 to 2**32 - 1 and 2**32 to 0 without a word
+        rng = random.Random(7)
+        keys = setup_users(cfg.n_users, rng)
+        vecs = np.ones((cfg.n_users, cfg.plain_length()), dtype=np.int64)
+        vecs[0, 1] = count
+        with pytest.raises(ProtocolError, match=r"lie in \[0, 2\*\*32\)"):
+            simulate_round(replace(cfg, dropout_rate=0.0), vecs, keys, 5, rng)
 
     def test_swapped_member_key(self):
         with pytest.raises(ProtocolError, match="does not match announced key"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -50,12 +51,14 @@ def derived_key(own, peer_public):
     return hashlib.sha256(masking_mod._PAIR_KEY_TAG + point).digest()
 
 
-def direct_factors(keys, uid, group):
-    """A member's factors summed straight from the sign rule, fresh exchanges."""
+def direct_factors(keys, uid, group, peers=None):
+    """A member's mask sum toward ``peers`` (default: every other member),
+    one ``mask_stream`` per pair, signed straight from the sign rule, fresh
+    exchanges."""
     expected = np.zeros(group.vector_length, dtype=np.uint32)
     pos = group.member_ids.index(uid)
     for j, peer in enumerate(group.member_ids):
-        if peer == uid:
+        if peer == uid or (peers is not None and peer not in peers):
             continue
         key = derived_key(keys[uid], group.public_keys[peer])
         stream = mask_stream(key, group.round_id, group.vector_length)
@@ -245,6 +248,73 @@ class TestBlindingFactors:
         s1 = mask_stream(key, 1, 2048)
         s2 = mask_stream(key, 2, 2048)
         assert int((s1 == s2).sum()) == 0
+
+
+# one stream of this many words is longer than a whole block of the member sum
+LONG = masking_mod._BLOCK_BYTES // 4 + 1000
+
+
+class TestBlockedStreamSums:
+    """A member sums its pair streams a block at a time; every sum equals the
+    per-pair ``mask_stream`` reference, word for word."""
+
+    @pytest.mark.parametrize("length", [1, 10, 3264, LONG])
+    @pytest.mark.parametrize("uid", [0, 3, 6], ids=["plus-only", "mixed", "minus-only"])
+    def test_blinding_factors_match_reference(self, length, uid):
+        keys, group = make_group(7, round_id=11, length=length, seed=31)
+        assert np.array_equal(
+            blinding_factors(keys[uid], uid, group), direct_factors(keys, uid, group)
+        )
+
+    @pytest.mark.parametrize("length", [1, 10, 3264, LONG])
+    @pytest.mark.parametrize("offline", [{4, 6}, {0, 2}, {1, 5, 6}],
+                             ids=["plus-only", "minus-only", "mixed"])
+    def test_recovery_share_matches_reference(self, length, offline):
+        keys, group = make_group(7, round_id=12, length=length, seed=32)
+        online = [u for u in group.member_ids if u not in offline]
+        assert np.array_equal(
+            recovery_share(keys[3], 3, group, online),
+            direct_factors(keys, 3, group, peers=offline),
+        )
+
+    @pytest.mark.parametrize("streams", [1, 2, 4])
+    def test_block_boundaries(self, streams, monkeypatch):
+        # blocks of 1, 2 or 4 sealed streams, so both signs span several blocks
+        monkeypatch.setattr(masking_mod, "_BLOCK_BYTES", streams * (4 * 10 + 16))
+        keys, group = make_group(12, round_id=13, length=10, seed=33)
+        for uid in (0, 5, 11):
+            assert np.array_equal(
+                blinding_factors(keys[uid], uid, group), direct_factors(keys, uid, group)
+            )
+
+    def test_short_streams_take_one_block_per_sign(self, monkeypatch):
+        # 49 peers at 10 words: one block of 29 streams to add, one of 20 to subtract
+        shapes = []
+        real = masking_mod._stream_blocks
+
+        def recording(*args):
+            for block in real(*args):
+                shapes.append(block.shape)
+                yield block
+
+        monkeypatch.setattr(masking_mod, "_stream_blocks", recording)
+        keys, group = make_group(50, length=10, seed=34)
+        blinding_factors(keys[20], 20, group)
+        assert shapes == [(29, 10), (20, 10)]
+
+    def test_transient_memory_is_a_few_streams(self):
+        # 11 peers of LONG words: a member never holds one stream per peer,
+        # only its zero plaintext, one sealed stream, one block sum and the total
+        keys, group = make_group(12, length=LONG, seed=35)
+        blinding_factors(keys[5], 5, group)  # every pair key exchanged up front
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blinding_factors(keys[5], 5, group)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 4 * LONG
 
 
 class TestPairPointTable:

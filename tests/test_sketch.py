@@ -2,12 +2,14 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobagg.sketch as sketch_mod
 from mobagg.sketch import (
     HASH_PRIME,
     SketchParamsError,
@@ -229,6 +231,33 @@ class TestEncodeVector:
         keys += random.Random(11).sample(range(1 << 62), 50)
         table = column_table(p, seeds, np.array(keys))
         assert table.T.tolist() == [ref_columns(p, seeds, k) for k in keys]
+
+    def test_depth_one_matches_reference(self):
+        # a single seed row: the seed column is (1, 1) and the grid one row
+        p = replace(make_params(582, 0.01, 0.05), depth=1)
+        seeds = seeded(p, seed=12)
+        rng = np.random.default_rng(12)
+        v = np.zeros(582, dtype=np.uint64)
+        v[rng.choice(582, size=60, replace=False)] = rng.integers(1, 1 << 40, size=60)
+        ref = ref_grid(p, seeds, {int(k): int(v[k]) for k in np.flatnonzero(v)})
+        flat = encode_vector(v, p, seeds)
+        assert flat.shape == (p.width,) and np.array_equal(flat, ref)
+        assert estimate_vector(flat, p, seeds).tolist() == [
+            ref_estimate(ref, p, seeds, k) for k in range(582)
+        ]
+        wide = replace(make_params(1 << 62, 0.1, 0.1), depth=1)
+        wide_seeds = seeded(wide, seed=12)
+        keys = [0, (1 << 32) - 1, 1 << 32, HASH_PRIME, (1 << 62) - 1]
+        table = column_table(wide, wide_seeds, np.array(keys))
+        assert table.T.tolist() == [ref_columns(wide, wide_seeds, k) for k in keys]
+
+    def test_column_table_hashes_every_row_in_one_call(self, monkeypatch):
+        calls = []
+        real = sketch_mod._row_hash
+        monkeypatch.setattr(sketch_mod, "_row_hash", lambda *a: calls.append(a) or real(*a))
+        p = make_params(1164, 0.01, 0.01)
+        column_table(p, seeded(p), np.arange(1164))
+        assert p.depth == 12 and len(calls) == 1
 
     def test_column_table_rejects_outside_keys(self):
         p = make_params(20, 0.2, 0.2)

@@ -132,6 +132,54 @@ class TestAnnouncement:
             decode_announcement(frame({"type": "recovery_request"}))
 
 
+def _rename(keys, old, new):
+    return {(new if name == old else name): hexkey for name, hexkey in keys.items()}
+
+
+class TestAnnouncedKeyNames:
+    """Each public key is named by its member's id, as encode_announcement
+    spells it, and each member is named exactly once."""
+
+    def announce(self, edit):
+        rng = random.Random(5)
+        ids = (1, 10, 12)
+        group = GroupView(
+            round_id=3,
+            member_ids=ids,
+            public_keys={uid: keygen(rng).public_bytes for uid in ids},
+            vector_length=4,
+        )
+        header, _ = unframe(encode_announcement(group))
+        return header, {**header, "public_keys": edit(header["public_keys"])}
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda k: _rename(k, "1", "01"), id="leading-zero"),
+        pytest.param(lambda k: _rename(k, "10", " +1_0"), id="sign-space-underscore"),
+        pytest.param(lambda k: _rename(k, "1", "\u0661"), id="arabic-indic-one"),
+        pytest.param(lambda k: {**k, "01": k["12"]}, id="two-spellings-of-one-id"),
+        pytest.param(lambda k: {**k, "7": k["1"]}, id="non-member"),
+        pytest.param(lambda k: _rename(k, "12", "7"), id="member-missing"),
+    ])
+    def test_other_names_rejected(self, edit):
+        _, header = self.announce(edit)
+        with pytest.raises(ProtocolError, match="public_keys"):
+            decode_announcement(frame(header))
+
+    def test_repeated_name_rejected(self):
+        # JSON keeps the last of two equal names; the frame must not decode
+        header, _ = self.announce(lambda k: k)
+        head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        opening = '"public_keys":{'
+        assert opening in head
+        repeated = head.replace(opening, opening + '"1":"' + "22" * 32 + '",')
+        with pytest.raises(ProtocolError, match="repeats a name"):
+            decode_announcement(_raw_frame(repeated.encode()))
+
+    def test_written_names_decode(self):
+        header, _ = self.announce(lambda k: k)
+        assert decode_announcement(frame(header)).public_keys.keys() == {1, 10, 12}
+
+
 class TestRecoveryRequest:
     def test_round_trip_sorted(self):
         blob = encode_recovery_request(7, [5, 1, 3])
