@@ -262,12 +262,10 @@ def cmd_sketch_bench(args: argparse.Namespace) -> int:
                 amount = rng.randrange(1, 10)
                 truth[key] = truth.get(key, 0) + amount
             # only the drawn keys are hashed: the key space may be 10**9 wide
+            keys = np.fromiter(truth.keys(), dtype=np.int64, count=len(truth))
             counts = np.fromiter(truth.values(), dtype=np.int64, count=len(truth))
-            cols = cms.column_table(params, seeds, list(truth))
-            rows = np.arange(params.depth)[:, None]
-            grid = np.zeros((params.depth, params.width), dtype=np.uint32)
-            np.add.at(grid, (rows, cols), counts.astype(np.uint32))
-            overs = grid[rows, cols].min(axis=0) - counts
+            grid = cms.encode_keys(keys, counts, params, seeds)
+            overs = cms.estimate_keys(grid, keys, params, seeds) - counts
             in_bound = np.count_nonzero(overs <= args.epsilon * counts.sum()) / overs.size
             line += f"{overs.max():>10}{in_bound:>9.3f}"
         print(line)

@@ -260,7 +260,8 @@ def simulate_round(
     member reads only its own row. The returned values cover only the users
     that stayed online; each group's aggregate is verified against the
     plaintext oracle and a disagreement raises OracleMismatch. ``rng`` draws
-    the round's sketch seeds and dropouts; the groups come from ``keys``.
+    only the dropouts. The groups come from ``keys``, and a sketch round's
+    seeds from ``keys`` and ``round_id``, so no earlier draw moves them.
     """
     t0 = time.perf_counter()
     bus = transport or InProcessTransport()
@@ -271,19 +272,19 @@ def simulate_round(
         )
     if set(keys) != set(range(config.n_users)):
         raise ValueError("keys must cover exactly user ids 0..n_users-1")
-
-    params = config.sketch_params()
-    seeds = None
-    if params is not None:
-        seeds = cms.draw_seeds(params.depth, rng)
-    length = config.vector_length()
+    if not (0 <= round_id < 1 << 64):
+        raise ProtocolError(f"round_id {round_id} outside [0, 2**64)")
 
     # The groups follow the cohort's key set, not the round.
     key_set = b"".join(keys[uid].public_bytes for uid in range(config.n_users))
+    digest = hashlib.sha256(key_set).digest()
     memberships = assign_groups(
-        list(range(config.n_users)), config.group_size, config.threshold,
-        random.Random(hashlib.sha256(key_set).digest()),
+        list(range(config.n_users)), config.group_size, config.threshold, random.Random(digest),
     )
+    params = config.sketch_params()
+    round_rng = random.Random(hashlib.sha256(digest + round_id.to_bytes(8, "little")).digest())
+    seeds = None if params is None else cms.draw_seeds(params.depth, round_rng)
+    length = config.vector_length()
     if not memberships:
         report = RoundReport(
             round_id=round_id, mode=config.mode, n_users=config.n_users,
@@ -305,7 +306,7 @@ def simulate_round(
         view = GroupView(
             round_id=round_id,
             member_ids=members,
-            public_keys={uid: keys[uid].public_bytes for uid in members},
+            public_keys=tuple(keys[uid].public_bytes for uid in members),
             vector_length=length,
             sketch_seeds=seeds,
         )

@@ -52,11 +52,13 @@ controls is a malicious aggregator, outside this model. In a simulated round
 members decode every frame themselves (``harness.simulate.member_submit``
 and ``member_recover``): the group view, the sketch seeds and the online
 list they act on come from the announcement and recovery-request frames
-they received, and a frame that does not fit raises ProtocolError. That does not close the false-offline leak: an aggregator
-that declares a member offline after receiving its ciphertext collects that
-member's whole mask from the others' recovery shares and so learns its
-plaintext. Closing that gap needs double masking (Bonawitz et al. 2017),
-which this module does not implement.
+they received, and a frame that does not fit raises ProtocolError.
+
+That does not close the false-offline leak: an aggregator that declares a
+member offline after receiving its ciphertext collects that member's whole
+mask from the others' recovery shares and so learns its plaintext. Closing
+that gap needs double masking (Bonawitz et al. 2017), which this module does
+not implement.
 """
 
 from __future__ import annotations
@@ -98,16 +100,17 @@ class ProtocolError(ValueError):
 class GroupView:
     """Everything a member learns about its group from the round announcement.
 
-    ``member_ids`` is ascending; a member's position in that tuple is the
-    index used by the masking sign rule, looked up in ``_positions``, which is
-    built once here and is neither shown by ``repr`` nor compared.
+    ``member_ids`` is ascending and ``public_keys`` holds their keys in that
+    order. A member's position indexes its key and the masking sign rule; it
+    is looked up in ``_positions``, which is built once here and is neither
+    shown by ``repr`` nor compared.
     ``sketch_seeds`` rides along so that sketch-compressed rounds agree on hash
     seeds without extra messages.
     """
 
     round_id: int
     member_ids: Tuple[int, ...]
-    public_keys: Mapping[int, bytes]
+    public_keys: Tuple[bytes, ...]
     vector_length: int
     sketch_seeds: Tuple[Tuple[int, int], ...] | None = None
     _positions: Mapping[int, int] = field(init=False, repr=False, compare=False)
@@ -124,10 +127,9 @@ class GroupView:
             raise ProtocolError("a group needs at least 1 member")
         if list(ids) != sorted(set(ids)):
             raise ProtocolError("member_ids must be strictly ascending")
-        for uid in ids:
-            if uid not in self.public_keys:
-                raise ProtocolError(f"missing public key for member {uid}")
-        for uid, key in self.public_keys.items():
+        if len(self.public_keys) != len(ids):
+            raise ProtocolError(f"{len(self.public_keys)} public keys for {len(ids)} members")
+        for uid, key in zip(ids, self.public_keys):
             if len(key) != KEY_BYTES:
                 raise ProtocolError(f"public key of user {uid} is not {KEY_BYTES} bytes")
         object.__setattr__(self, "_positions", {uid: i for i, uid in enumerate(ids)})
@@ -211,24 +213,17 @@ def _pair_key(own: KeyPair, peer_public: bytes) -> bytes:
 
 
 def _signed_stream_sum(
-    own: KeyPair,
-    own_id: int,
-    group: GroupView,
-    peers: Sequence[int],
+    own: KeyPair, pos: int, group: GroupView, peers: Sequence[int]
 ) -> np.ndarray:
-    """Sum of pair streams toward ``peers``, signed by relative position.
+    """Sum of the member at ``pos``'s pair streams toward the other positions ``peers``.
 
     Streams toward higher positions add and those toward lower ones subtract;
     each block of streams is summed in one call.
     """
-    pos = group.position_of(own_id)
     plus: list[bytes] = []
     minus: list[bytes] = []
-    for peer in peers:
-        peer_pos = group.position_of(peer)
-        if peer_pos == pos:
-            raise ProtocolError("a member has no pair stream with itself")
-        key = _pair_key(own, group.public_keys[peer])
+    for peer_pos in peers:
+        key = _pair_key(own, group.public_keys[peer_pos])
         (plus if pos < peer_pos else minus).append(key)
     total = np.zeros(group.vector_length, dtype=np.uint32)
     for block in _stream_blocks(plus, group.round_id, group.vector_length):
@@ -240,11 +235,11 @@ def _signed_stream_sum(
 
 def blinding_factors(own: KeyPair, own_id: int, group: GroupView) -> np.ndarray:
     """The member's full mask vector k_i for this round (all peers)."""
-    group.position_of(own_id)  # membership check
-    if group.public_keys[own_id] != own.public_bytes:
+    pos = group.position_of(own_id)
+    if group.public_keys[pos] != own.public_bytes:
         raise ProtocolError(f"keypair does not match announced key for user {own_id}")
-    peers = [uid for uid in group.member_ids if uid != own_id]
-    return _signed_stream_sum(own, own_id, group, peers)
+    peers = [j for j in range(len(group.member_ids)) if j != pos]
+    return _signed_stream_sum(own, pos, group, peers)
 
 
 def plaintext_words(values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -310,10 +305,10 @@ def recovery_share(
         raise ProtocolError(f"user {own_id} is offline and cannot serve recovery")
     for uid in online_set:
         group.position_of(uid)
-    offline = [uid for uid in group.member_ids if uid not in online_set]
+    offline = [j for j, uid in enumerate(group.member_ids) if uid not in online_set]
     if not offline:
         return np.zeros(group.vector_length, dtype=np.uint32)
-    return _signed_stream_sum(own, own_id, group, offline)
+    return _signed_stream_sum(own, group.position_of(own_id), group, offline)
 
 
 def recover_aggregate(

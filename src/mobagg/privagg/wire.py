@@ -1,9 +1,11 @@
 """Wire encoding for aggregation rounds.
 
-Every message is a JSON header plus an optional binary body, each preceded
-by a 4-byte little-endian length. Vector bodies are packed little-endian
-32-bit words, so a ciphertext body is exactly 4 * vector_length bytes; the
-byte counts the harness reports come straight from these frames.
+Every message is a JSON header plus a binary body, each preceded by a
+4-byte little-endian length. A round announcement's body is its members'
+32-byte public keys, joined in ``members`` order. A ciphertext or recovery
+share's body is its vector as packed little-endian 32-bit words, so exactly
+4 * vector_length bytes. A recovery request has an empty body. The byte
+counts the harness reports come straight from these frames.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .keys import KEY_BYTES
 from .masking import GroupView, ProtocolError
 
 _LEN = struct.Struct("<I")
@@ -83,33 +86,20 @@ def encode_announcement(group: GroupView) -> bytes:
         "type": "round",
         "round_id": group.round_id,
         "members": list(group.member_ids),
-        "public_keys": {
-            str(uid): group.public_keys[uid].hex() for uid in group.member_ids
-        },
         "vector_length": group.vector_length,
     }
     if group.sketch_seeds is not None:
         header["sketch_seeds"] = [[a, b] for a, b in group.sketch_seeds]
-    return frame(header)
+    return frame(header, b"".join(group.public_keys))
 
 
 def decode_announcement(blob: bytes) -> GroupView:
     header, body = unframe(blob)
-    if header.get("type") != "round" or body:
+    if header.get("type") != "round":
         raise ProtocolError("not a round announcement")
     members = tuple(_ints(header.get("members"), "members"))
-    hex_keys = header.get("public_keys")
-    if not isinstance(hex_keys, dict):
-        raise ProtocolError("public_keys must be an object")
-    # One name per member, spelled as encode_announcement writes it, so no
-    # two spellings of an id ("1", "01", " +1") can stand for one member.
-    names = [str(uid) for uid in members]
-    if hex_keys.keys() != set(names):
-        raise ProtocolError("public_keys must name every member once, by its decimal id")
-    try:
-        public_keys = {uid: bytes.fromhex(hex_keys[name]) for uid, name in zip(members, names)}
-    except (TypeError, ValueError):
-        raise ProtocolError("public_keys must map user ids to hex keys") from None
+    if len(body) != KEY_BYTES * len(members):
+        raise ProtocolError(f"announcement body is not {KEY_BYTES} bytes per member")
     seeds = header.get("sketch_seeds")
     if seeds is not None:
         if not isinstance(seeds, list) or not all(isinstance(p, list) and len(p) == 2 for p in seeds):
@@ -118,7 +108,7 @@ def decode_announcement(blob: bytes) -> GroupView:
     return GroupView(
         round_id=_int(header.get("round_id"), "round_id"),
         member_ids=members,
-        public_keys=public_keys,
+        public_keys=tuple(body[i : i + KEY_BYTES] for i in range(0, len(body), KEY_BYTES)),
         vector_length=_int(header.get("vector_length"), "vector_length"),
         sketch_seeds=seeds,
     )

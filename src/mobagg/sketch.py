@@ -154,6 +154,31 @@ def _flat_index(params: SketchParams, seeds: Sequence[Seed], keys: np.ndarray) -
     return column_table(params, seeds, keys) + offsets
 
 
+def encode_keys(
+    keys: np.ndarray, amounts: np.ndarray, params: SketchParams, seeds: Sequence[Seed]
+) -> np.ndarray:
+    """The flat grid in which keys[i] adds amounts[i] mod 2**32 to one counter per row.
+
+    Only these keys are hashed, so the key space may be wider than any dense vector.
+    """
+    amounts = (np.asarray(amounts).astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)
+    grid = np.zeros(params.table_size, dtype=np.uint32)
+    # One 1-D add.at with the amounts tiled to the index; NumPy 2.4's add.at
+    # misreads broadcast amounts under a 2-D index.
+    np.add.at(grid, _flat_index(params, seeds, keys).ravel(), np.tile(amounts, params.depth))
+    return grid
+
+
+def estimate_keys(
+    flat: np.ndarray, keys: np.ndarray, params: SketchParams, seeds: Sequence[Seed]
+) -> np.ndarray:
+    """Each key's estimate from a flat grid, as int64: the minimum of its counters."""
+    grid = np.asarray(flat, dtype=np.uint32)
+    if grid.size != params.table_size:
+        raise SketchParamsError(f"flat counter length {grid.size} != {params.table_size}")
+    return grid[_flat_index(params, seeds, keys)].min(axis=0).astype(np.int64)
+
+
 def encode_vector(
     values: Sequence[int] | np.ndarray,
     params: SketchParams,
@@ -169,12 +194,7 @@ def encode_vector(
             f"vector length {arr.size} != input_size {params.input_size}"
         )
     keys = np.flatnonzero(arr)
-    amounts = (arr[keys].astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)
-    grid = np.zeros(params.table_size, dtype=np.uint32)
-    # One 1-D add.at with the amounts tiled to the index; NumPy 2.4's add.at
-    # misreads broadcast amounts under a 2-D index.
-    np.add.at(grid, _flat_index(params, seeds, keys).ravel(), np.tile(amounts, params.depth))
-    return grid
+    return encode_keys(keys, arr[keys], params, seeds)
 
 
 def estimate_vector(
@@ -183,10 +203,4 @@ def estimate_vector(
     seeds: Sequence[Seed],
 ) -> np.ndarray:
     """Every key's estimate from a flat grid, as int64: the minimum of its counters."""
-    grid = np.asarray(flat, dtype=np.uint32)
-    if grid.size != params.table_size:
-        raise SketchParamsError(
-            f"flat counter length {grid.size} != {params.table_size}"
-        )
-    index = _flat_index(params, seeds, np.arange(params.input_size))
-    return grid[index].min(axis=0).astype(np.int64)
+    return estimate_keys(flat, np.arange(params.input_size), params, seeds)

@@ -59,7 +59,7 @@ def protocol_trials():
         group = GroupView(
             round_id=trial,
             member_ids=member_ids,
-            public_keys={uid: kp.public_bytes for uid, kp in keys.items()},
+            public_keys=tuple(keys[uid].public_bytes for uid in member_ids),
             vector_length=length,
         )
         plain = np_rng.integers(0, MOD, size=(g, length), dtype=np.int64)
@@ -270,7 +270,7 @@ def test_criterion_09_sketch_protocol_equivalence(record_property):
     group = GroupView(
         round_id=0,
         member_ids=member_ids,
-        public_keys={uid: kp.public_bytes for uid, kp in keys.items()},
+        public_keys=tuple(keys[uid].public_bytes for uid in member_ids),
         vector_length=params.table_size,
         sketch_seeds=seeds,
     )

@@ -133,7 +133,9 @@ class TestSimulateRound:
         outcome, _ = self.run(cfg, transport=bus)
         report = outcome.report
         assert report.upload_bytes == bus.bytes_by_direction[UPLOAD] == 47100  # frozen
-        assert report.download_bytes == bus.bytes_by_direction[DOWNLOAD] == 4510
+        # each of the 10 members downloads its group's announcement: 80 bytes
+        # of framed header and the 5 members' keys as 160 raw body bytes
+        assert report.download_bytes == bus.bytes_by_direction[DOWNLOAD] == 2400
 
     def test_bytes_match_framing_arithmetic(self):
         # single group of 2, no dropouts: totals recomputable from the wire API
@@ -146,7 +148,7 @@ class TestSimulateRound:
         view = GroupView(
             round_id=9,
             member_ids=(0, 1),
-            public_keys={u: k.public_bytes for u, k in keys.items()},
+            public_keys=(keys[0].public_bytes, keys[1].public_bytes),
             vector_length=6,
         )
         expected_down = 2 * len(encode_announcement(view))
@@ -156,6 +158,35 @@ class TestSimulateRound:
         )
         assert outcome.report.download_bytes == expected_down
         assert outcome.report.upload_bytes == expected_up
+
+    @pytest.mark.parametrize("mode", ["station", "sketch"])
+    @pytest.mark.parametrize("round_id", [-1, 2**64])
+    def test_round_id_outside_words_rejected(self, mode, round_id):
+        # the round id is the nonce of every mask stream and, in a sketch
+        # round, seeds the hash rows as 8 bytes
+        cfg = SimConfig(n_users=4, group_size=2, threshold=2, mode=mode, n_stations=3)
+        with pytest.raises(ProtocolError, match="round_id"):
+            self.run(cfg, round_id=round_id)
+
+    def test_sketch_seeds_ignore_earlier_draws(self):
+        # the seeds follow the key set and the round id, so however far the
+        # round rng has been drawn, a round announces the same seeds
+        cfg = SimConfig(n_users=6, group_size=3, threshold=2, mode="sketch",
+                        n_stations=10, sketch_epsilon=0.2, sketch_delta=0.2)
+        keys = setup_users(6, random.Random(3))
+        vecs = np.ones((6, cfg.plain_length()), dtype=np.int64)
+        announced = {}
+        for skip in (0, 1, 17):
+            rng = random.Random(4)
+            for _ in range(skip):
+                rng.random()
+            for round_id in (2, 3):
+                bus = RecordingTransport()
+                outcome = simulate_round(cfg, vecs, keys, round_id, rng, bus)
+                assert {v.sketch_seeds for v in bus.views} == {outcome.sketch_seeds}
+                announced.setdefault(round_id, set()).add(outcome.sketch_seeds)
+        assert all(len(seeds) == 1 for seeds in announced.values())
+        assert announced[2] != announced[3]
 
     def test_dropouts_recover_online_sum(self):
         cfg = SimConfig(n_users=12, group_size=4, threshold=2, mode="station",
@@ -316,25 +347,18 @@ class TestKeyEpochGroups:
 
 class TamperingTransport(InProcessTransport):
     """Counts each frame as sent, then delivers every frame of type ``kind``
-    with its header rewritten by ``edit``."""
+    with its header rewritten by ``edit`` and its body by ``edit_body``."""
 
-    def __init__(self, kind, edit):
+    def __init__(self, kind, edit=lambda header: header, edit_body=lambda body: body):
         super().__init__()
-        self.kind, self.edit = kind, edit
+        self.kind, self.edit, self.edit_body = kind, edit, edit_body
 
     def deliver(self, blob, direction):
         blob = super().deliver(blob, direction)
         header, body = unframe(blob)
         if header["type"] != self.kind:
             return blob
-        return frame(self.edit(header), body)
-
-
-def swap_first_two_keys(header):
-    a, b = (str(uid) for uid in header["members"][:2])
-    keys = header["public_keys"]
-    keys[a], keys[b] = keys[b], keys[a]
-    return header
+        return frame(self.edit(header), self.edit_body(body))
 
 
 class TestHostileRound:
@@ -353,16 +377,30 @@ class TestHostileRound:
         vecs = np.random.default_rng(1).integers(0, 4, size=(cfg.n_users, cfg.plain_length()))
         return simulate_round(cfg, vecs, keys, 5, rng, bus)
 
-    @pytest.mark.parametrize("length", [2**40, 7], ids=["2**40", "wrong-length"])
-    def test_announced_length_expands_no_mask(self, length, monkeypatch):
+    @pytest.fixture
+    def stream_calls(self, monkeypatch):
         # members expand every pair stream through this one keystream helper
         calls = []
         real = masking_mod._stream_blocks
         monkeypatch.setattr(masking_mod, "_stream_blocks", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("length", [2**40, 7], ids=["2**40", "wrong-length"])
+    def test_announced_length_expands_no_mask(self, length, stream_calls):
         bus = TamperingTransport("round", lambda h: {**h, "vector_length": length})
         with pytest.raises(ProtocolError, match="vector_length"):
             self.run(self.STATION, bus)
-        assert calls == []
+        assert stream_calls == []
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda b: b[:-1], id="one-byte-short"),
+        pytest.param(lambda b: b + b"\0", id="one-byte-long"),
+        pytest.param(lambda b: b[:-32], id="one-key-short"),
+    ])
+    def test_announced_body_that_does_not_fit_expands_no_mask(self, edit, stream_calls):
+        with pytest.raises(ProtocolError, match="announcement body"):
+            self.run(self.STATION, TamperingTransport("round", edit_body=edit))
+        assert stream_calls == []
 
     @pytest.mark.parametrize("cfg", [STATION, SKETCH], ids=["station", "sketch"])
     @pytest.mark.parametrize("count", [-1, 2**32])
@@ -377,7 +415,8 @@ class TestHostileRound:
 
     def test_swapped_member_key(self):
         with pytest.raises(ProtocolError, match="does not match announced key"):
-            self.run(self.STATION, TamperingTransport("round", swap_first_two_keys))
+            self.run(self.STATION, TamperingTransport(
+                "round", edit_body=lambda b: b[32:64] + b[:32] + b[64:]))
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda s: s[:-1], id="one-row-short"),

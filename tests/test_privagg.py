@@ -39,7 +39,7 @@ def make_group(n, round_id=0, length=16, seed=0, ids=None):
     group = GroupView(
         round_id=round_id,
         member_ids=ids,
-        public_keys={u: k.public_bytes for u, k in keys.items()},
+        public_keys=tuple(keys[u].public_bytes for u in ids),
         vector_length=length,
     )
     return keys, group
@@ -60,7 +60,7 @@ def direct_factors(keys, uid, group, peers=None):
     for j, peer in enumerate(group.member_ids):
         if peer == uid or (peers is not None and peer not in peers):
             continue
-        key = derived_key(keys[uid], group.public_keys[peer])
+        key = derived_key(keys[uid], group.public_keys[j])
         stream = mask_stream(key, group.round_id, group.vector_length)
         if pos < j:
             expected += stream
@@ -119,10 +119,20 @@ class TestMalformedKeys:
 
     def test_long_key_in_announcement_is_protocol_error(self):
         _, group = make_group(2)
-        header, _ = unframe(encode_announcement(group))
-        header["public_keys"]["1"] += "00"
+        header, body = unframe(encode_announcement(group))
+        with pytest.raises(ProtocolError, match="not 32 bytes per member"):
+            decode_announcement(frame(header, body + b"\0"))
+
+    def test_long_key_in_view_is_protocol_error(self):
+        _, group = make_group(2)
         with pytest.raises(ProtocolError, match="not 32 bytes"):
-            decode_announcement(frame(header))
+            replace(group, public_keys=(group.public_keys[0], group.public_keys[1] + b"\0"))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_key_per_member(self, count):
+        _, group = make_group(2)
+        with pytest.raises(ProtocolError, match=f"{count} public keys for 2 members"):
+            replace(group, public_keys=(group.public_keys * 2)[:count])
 
 
 class TestGroupView:
@@ -143,7 +153,7 @@ class TestGroupView:
             "vector_length=4, sketch_seeds=None"
         )
         assert repr(group) == f"GroupView({fields})"
-        twin = GroupView(5, (0, 1, 2), dict(group.public_keys), 4)
+        twin = GroupView(5, (0, 1, 2), group.public_keys, 4)
         assert twin == group
         assert replace(group, round_id=6) != group
 
@@ -153,7 +163,7 @@ class TestGroupView:
         wider = replace(
             group,
             member_ids=(1, 2, 5, 9),
-            public_keys={**group.public_keys, 1: keys[1].public_bytes},
+            public_keys=(keys[1].public_bytes, *group.public_keys),
         )
         assert [wider.position_of(u) for u in (1, 2, 5, 9)] == [0, 1, 2, 3]
         assert group.position_of(2) == 0
@@ -347,7 +357,7 @@ class TestPairPointTable:
         rekeyed = GroupView(
             round_id=2,
             member_ids=(0, 1),
-            public_keys={0: keys[0].public_bytes, 1: fresh.public_bytes},
+            public_keys=(keys[0].public_bytes, fresh.public_bytes),
             vector_length=8,
         )
         mine = blinding_factors(keys[0], 0, rekeyed)
@@ -361,7 +371,7 @@ class TestPairPointTable:
         group = GroupView(
             round_id=0,
             member_ids=(0, 1, 2),
-            public_keys={0: a.public_bytes, 1: keygen(1).public_bytes, 2: keygen(2).public_bytes},
+            public_keys=(a.public_bytes, keygen(1).public_bytes, keygen(2).public_bytes),
             vector_length=4,
         )
         blinding_factors(a, 0, group)
@@ -531,7 +541,7 @@ class TestUniformitySmoke:
             group = GroupView(
                 round_id=round_id,
                 member_ids=(0, 1),
-                public_keys={u: k.public_bytes for u, k in keys.items()},
+                public_keys=(keys[0].public_bytes, keys[1].public_bytes),
                 vector_length=1,
             )
             ct = encrypt(np.array([rng.randrange(1 << 32)]),

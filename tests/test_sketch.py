@@ -15,7 +15,9 @@ from mobagg.sketch import (
     SketchParamsError,
     column_table,
     draw_seeds,
+    encode_keys,
     encode_vector,
+    estimate_keys,
     estimate_vector,
     make_params,
 )
@@ -220,6 +222,22 @@ class TestEncodeVector:
         assert np.array_equal(flat, ref)
         assert estimate_vector(flat, p, seeds).tolist() == [
             ref_estimate(ref, p, seeds, k) for k in range(582)
+        ]
+
+    def test_sparse_keys_match_reference_in_a_wide_key_space(self):
+        # only the given keys are hashed, so a 2**62-key space needs no dense
+        # vector; a repeated key adds, and amounts reach past 2**32
+        p = make_params(1 << 62, 0.1, 0.1)
+        seeds = seeded(p, seed=12)
+        rng = random.Random(12)
+        drawn = [(rng.randrange(1 << 62), rng.randrange(1, 1 << 40)) for _ in range(40)]
+        drawn += drawn[:5]
+        keys = np.array([k for k, _ in drawn], dtype=np.int64)
+        flat = encode_keys(keys, np.array([a for _, a in drawn]), p, seeds)
+        ref = ref_grid(p, seeds, _summed(drawn))
+        assert np.array_equal(flat, ref)
+        assert estimate_keys(flat, keys, p, seeds).tolist() == [
+            ref_estimate(ref, p, seeds, k) for k in keys.tolist()
         ]
 
     def test_column_table_matches_columns_for_large_keys(self):

@@ -100,7 +100,7 @@ class TestAnnouncement:
         return GroupView(
             round_id=4,
             member_ids=tuple(range(n)),
-            public_keys={u: k.public_bytes for u, k in keys.items()},
+            public_keys=tuple(keys[u].public_bytes for u in range(n)),
             vector_length=length,
             sketch_seeds=sketch_seeds,
         )
@@ -116,68 +116,62 @@ class TestAnnouncement:
         assert back.sketch_seeds is None and back == group
 
     def test_two_hundred_member_size_accounting(self):
-        # header carries 200 hex keys (64 chars each) and no body; the frame
-        # length follows directly from the serialized JSON
+        # the body is the 200 raw keys in member order, 32 bytes each; the
+        # header names no key, and the frame length follows from both
         group = self.make_group(200, 1164)
         blob = encode_announcement(group)
         header, body = unframe(blob)
-        assert body == b""
+        assert body == b"".join(group.public_keys) and len(body) == 32 * 200
+        assert "public_keys" not in header
         head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        assert len(blob) == 4 + len(head_bytes) + 4
-        assert len(header["public_keys"]) == 200
-        assert all(len(h) == 64 for h in header["public_keys"].values())
+        assert len(blob) == 4 + len(head_bytes) + 4 + 32 * 200
 
     def test_rejects_other_messages(self):
         with pytest.raises(ProtocolError):
             decode_announcement(frame({"type": "recovery_request"}))
 
 
-def _rename(keys, old, new):
-    return {(new if name == old else name): hexkey for name, hexkey in keys.items()}
+class TestAnnouncedKeys:
+    """The announcement's body is one 32-byte public key per member, in
+    ``members`` order, and nothing else."""
 
-
-class TestAnnouncedKeyNames:
-    """Each public key is named by its member's id, as encode_announcement
-    spells it, and each member is named exactly once."""
-
-    def announce(self, edit):
+    def announce(self):
         rng = random.Random(5)
         ids = (1, 10, 12)
         group = GroupView(
             round_id=3,
             member_ids=ids,
-            public_keys={uid: keygen(rng).public_bytes for uid in ids},
+            public_keys=tuple(keygen(rng).public_bytes for _ in ids),
             vector_length=4,
         )
-        header, _ = unframe(encode_announcement(group))
-        return header, {**header, "public_keys": edit(header["public_keys"])}
+        return group, *unframe(encode_announcement(group))
+
+    def test_body_keys_decode_in_member_order(self):
+        group, header, body = self.announce()
+        view = decode_announcement(frame(header, body))
+        assert view.public_keys == tuple(body[i : i + 32] for i in (0, 32, 64))
+        assert view.public_keys == group.public_keys
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda k: _rename(k, "1", "01"), id="leading-zero"),
-        pytest.param(lambda k: _rename(k, "10", " +1_0"), id="sign-space-underscore"),
-        pytest.param(lambda k: _rename(k, "1", "\u0661"), id="arabic-indic-one"),
-        pytest.param(lambda k: {**k, "01": k["12"]}, id="two-spellings-of-one-id"),
-        pytest.param(lambda k: {**k, "7": k["1"]}, id="non-member"),
-        pytest.param(lambda k: _rename(k, "12", "7"), id="member-missing"),
+        pytest.param(lambda b: b[:-1], id="one-byte-short"),
+        pytest.param(lambda b: b + b"\0", id="one-byte-long"),
+        pytest.param(lambda b: b[:-32], id="one-key-short"),
+        pytest.param(lambda b: b + b[:32], id="one-key-over"),
+        pytest.param(lambda b: b"", id="empty"),
     ])
-    def test_other_names_rejected(self, edit):
-        _, header = self.announce(edit)
-        with pytest.raises(ProtocolError, match="public_keys"):
-            decode_announcement(frame(header))
+    def test_body_that_does_not_fit_the_members_rejected(self, edit):
+        _, header, body = self.announce()
+        with pytest.raises(ProtocolError, match="announcement body"):
+            decode_announcement(frame(header, edit(body)))
 
     def test_repeated_name_rejected(self):
         # JSON keeps the last of two equal names; the frame must not decode
-        header, _ = self.announce(lambda k: k)
+        _, header, body = self.announce()
         head = json.dumps(header, sort_keys=True, separators=(",", ":"))
-        opening = '"public_keys":{'
-        assert opening in head
-        repeated = head.replace(opening, opening + '"1":"' + "22" * 32 + '",')
+        assert '"members":[1,10,12]' in head
+        repeated = head.replace('"members":', '"members":[1,10],"members":')
         with pytest.raises(ProtocolError, match="repeats a name"):
-            decode_announcement(_raw_frame(repeated.encode()))
-
-    def test_written_names_decode(self):
-        header, _ = self.announce(lambda k: k)
-        assert decode_announcement(frame(header)).public_keys.keys() == {1, 10, 12}
+            decode_announcement(_raw_frame(repeated.encode(), body))
 
 
 class TestRecoveryRequest:
@@ -197,7 +191,7 @@ def _sample_frames():
     group = GroupView(
         round_id=5,
         member_ids=(0, 1, 2),
-        public_keys={u: k.public_bytes for u, k in keys.items()},
+        public_keys=tuple(keys[u].public_bytes for u in range(3)),
         vector_length=4,
         sketch_seeds=((1, 2), (3, 4)),
     )
@@ -216,7 +210,7 @@ def _sketch_member():
     group = GroupView(
         round_id=5,
         member_ids=(0, 1, 2),
-        public_keys={u: k.public_bytes for u, k in keys.items()},
+        public_keys=tuple(keys[u].public_bytes for u in range(3)),
         vector_length=params.table_size,
         sketch_seeds=((1, 2), (3, 4)),
     )
@@ -227,8 +221,12 @@ _MEMBER_KEY, _MEMBER_PARAMS, _MEMBER_VIEW, _MEMBER_FRAMES = _sketch_member()
 
 
 def _reannounce(seeds: object, length: object) -> bytes:
-    header, _ = unframe(_MEMBER_FRAMES[0])
-    return frame({**header, "sketch_seeds": seeds, "vector_length": length})
+    header, body = unframe(_MEMBER_FRAMES[0])
+    return frame({**header, "sketch_seeds": seeds, "vector_length": length}, body)
+
+
+def _rebody(body: bytes) -> bytes:
+    return frame(unframe(_MEMBER_FRAMES[0])[0], body)
 
 
 _DECODERS = (unframe, decode_announcement, decode_vector_message, decode_recovery_request)
@@ -238,8 +236,8 @@ _MEMBER_STEPS = (
 )
 
 
-def _raw_frame(head: bytes) -> bytes:
-    return struct.pack("<I", len(head)) + head + struct.pack("<I", 0)
+def _raw_frame(head: bytes, body: bytes = b"") -> bytes:
+    return struct.pack("<I", len(head)) + head + struct.pack("<I", len(body)) + body
 
 
 _json = st.recursive(
@@ -250,7 +248,7 @@ _json = st.recursive(
 _headers = st.fixed_dictionaries(
     {"type": st.sampled_from(["round", "ciphertext", "recovery_share", "recovery_request"])},
     optional={name: _json for name in (
-        "round_id", "user_id", "members", "public_keys", "vector_length", "sketch_seeds", "online",
+        "round_id", "user_id", "members", "vector_length", "sketch_seeds", "online",
     )},
 )
 
@@ -280,32 +278,31 @@ class TestHostileInput:
         ({"type": "recovery_request", "round_id": 0, "online": ["a"]}, decode_recovery_request),
         ({"type": "recovery_request", "round_id": 0, "online": 3}, decode_recovery_request),
         ({"type": "recovery_request", "round_id": 0}, decode_recovery_request),
-        ({"type": "round", "members": [0], "public_keys": {"0": "00"},
-          "vector_length": 1}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"x": "00"},
-          "vector_length": 1}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "zz"},
-          "vector_length": 1}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "public_keys": [],
-          "vector_length": 1}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "00"},
-          "vector_length": True}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "00"},
-          "vector_length": 1, "sketch_seeds": [[1]]}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "00"},
-          "vector_length": 1}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "public_keys": {"0": "11" * 32},
-          "vector_length": 2**40}, decode_announcement),
+        ({"type": "round", "members": [0], "vector_length": 1}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": ["0"], "vector_length": 1},
+         decode_announcement),
+        ({"type": "round", "round_id": 0, "members": 0, "vector_length": 1}, decode_announcement),
+        ({"type": "round", "round_id": 2**64, "members": [0], "vector_length": 1},
+         decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "vector_length": True},
+         decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "vector_length": 1,
+          "sketch_seeds": [[1]]}, decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "vector_length": 0},
+         decode_announcement),
+        ({"type": "round", "round_id": 0, "members": [0], "vector_length": 2**40},
+         decode_announcement),
     ])
     def test_missing_or_mistyped_fields_rejected(self, header, decode):
+        # an announcement carries one member's key, so only its header is at fault
+        body = b"\x11" * 32 if decode is decode_announcement else b""
         with pytest.raises(ProtocolError):
-            decode(frame(header))
+            decode(frame(header, body))
 
     def test_od_vector_length_admitted(self):
         # 582 stations squared: the longest vector the pipeline announces
-        header = {"type": "round", "round_id": 0, "members": [0],
-                  "public_keys": {"0": "11" * 32}, "vector_length": 582 * 582}
-        assert decode_announcement(frame(header)).vector_length == 338_724
+        header = {"type": "round", "round_id": 0, "members": [0], "vector_length": 582 * 582}
+        assert decode_announcement(frame(header, b"\x11" * 32)).vector_length == 338_724
 
     @pytest.mark.parametrize("mask", [
         pytest.param(lambda own, view: blinding_factors(own, 0, view), id="blinding_factors"),
@@ -316,7 +313,7 @@ class TestHostileInput:
         # private key is the all-zero point, which X25519 refuses
         rng = random.Random(3)
         keys = {u: keygen(rng) for u in (0, 2)}
-        public = {0: keys[0].public_bytes, 1: bytes(32), 2: keys[2].public_bytes}
+        public = (keys[0].public_bytes, bytes(32), keys[2].public_bytes)
         view = decode_announcement(encode_announcement(GroupView(
             round_id=4, member_ids=(0, 1, 2), public_keys=public, vector_length=3,
         )))
@@ -337,6 +334,13 @@ class TestHostileInput:
             _json | st.lists(st.lists(st.integers(-2**70, 2**70), max_size=3), max_size=3),
             st.sampled_from([8, 4, 2**24]),
         ),
+        # the member's valid header over bodies of 0-3 whole keys, its group's
+        # or arbitrary ones, and over ragged bodies
+        st.lists(
+            st.sampled_from(_MEMBER_VIEW.public_keys) | st.binary(min_size=32, max_size=32),
+            max_size=3,
+        ).map(b"".join).map(_rebody),
+        st.binary(max_size=100).map(_rebody),
     ))
     def test_arbitrary_bytes_decode_or_raise_protocol_error(self, blob):
         # the decoders, and the member steps that act on what they decode
