@@ -199,6 +199,8 @@ def cmd_enhance(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.rounds < 1:
+        raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
     out = _out_dir(args)
     config = SimConfig(
         n_users=args.users,

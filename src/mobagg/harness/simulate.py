@@ -79,6 +79,10 @@ class SimConfig:
             raise ValueError("need at least 2 users")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
+        for name in ("n_stations", "grid_rows", "grid_cols"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def plain_length(self) -> int:
         """Length of the per-user plaintext vector (before any sketching)."""
@@ -236,7 +240,7 @@ def member_recover(own: KeyPair, own_id: int, view: GroupView, request: bytes) -
 
 
 def _upload_entries(blob: bytes, user_id: int, round_id: int, kind: str) -> np.ndarray:
-    """The entries of an upload whose header names its sender, round and kind."""
+    """The entries of an upload whose fixed fields name its sender, round and kind."""
     msg = decode_vector_message(blob)
     if (msg.user_id, msg.round_id, msg.kind) != (user_id, round_id, kind):
         raise ProtocolError(

@@ -23,8 +23,6 @@ from .wire import (
     encode_announcement,
     encode_recovery_request,
     encode_vector_message,
-    frame,
-    unframe,
 )
 
 __all__ = [
@@ -45,12 +43,10 @@ __all__ = [
     "encode_recovery_request",
     "encode_vector_message",
     "encrypt",
-    "frame",
     "keygen",
     "mask_stream",
     "plaintext_words",
     "recover_aggregate",
     "recovery_share",
     "shared_point",
-    "unframe",
 ]

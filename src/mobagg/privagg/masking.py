@@ -127,6 +127,8 @@ class GroupView:
             raise ProtocolError("a group needs at least 1 member")
         if list(ids) != sorted(set(ids)):
             raise ProtocolError("member_ids must be strictly ascending")
+        if ids[0] < 0 or ids[-1] >= 1 << 32:
+            raise ProtocolError("member_ids must lie in [0, 2**32)")
         if len(self.public_keys) != len(ids):
             raise ProtocolError(f"{len(self.public_keys)} public keys for {len(ids)} members")
         for uid, key in zip(ids, self.public_keys):
@@ -183,8 +185,11 @@ def mask_stream(key: bytes, round_id: int, length: int) -> np.ndarray:
 
     The stream is the ChaCha20 keystream (RFC 8439) under the 32-byte
     ``key`` from block counter 1, with the 12-byte nonce round_id as 8-byte
-    little-endian followed by 4 zero bytes, read as little-endian 32-bit words
-    (``_stream_blocks`` computes it). The returned array is read-only.
+    little-endian followed by 4 zero bytes, read as little-endian 32-bit words.
+    The returned array is read-only. Members never call this: they sum their
+    streams in blocks through ``_stream_blocks``. It is the one-stream
+    reference that the tests hold ``_stream_blocks`` and the blocked member
+    sums to, so it stays public.
     """
     if not (0 <= round_id < 1 << 64):
         raise ProtocolError(f"round_id {round_id} outside [0, 2**64)")

@@ -1,25 +1,41 @@
 """Wire encoding for aggregation rounds.
 
-Every message is a JSON header plus a binary body, each preceded by a
-4-byte little-endian length. A round announcement's body is its members'
-32-byte public keys, joined in ``members`` order. A ciphertext or recovery
-share's body is its vector as packed little-endian 32-bit words, so exactly
-4 * vector_length bytes. A recovery request has an empty body. The byte
-counts the harness reports come straight from these frames.
+Every frame is a fixed little-endian layout that starts with one kind byte:
+
+- round announcement (kind 1): round id u64, vector length u32, member
+  count n u32, seed rows r u32, then the n member ids as u32, the r sketch
+  seeds as u64 pairs and the n members' 32-byte public keys, joined in
+  member order. Zero seed rows means the round does not sketch;
+- ciphertext (kind 2) and recovery share (kind 3): user id u32, round id
+  u64, then the vector as u32 words;
+- recovery request (kind 4): round id u64, then the online ids as u32.
+
+The transport delimits each frame, so a frame carries no length of its own:
+a decoder checks the frame's exact length against its counts before it reads
+an array. A frame can be wrong only in its length, its kind or a field's
+range, and each raises ProtocolError; so does an encoder given a field that
+its layout cannot hold. The byte counts the harness reports come straight
+from these frames.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
+from typing import Container
 
 import numpy as np
 
 from .keys import KEY_BYTES
-from .masking import GroupView, ProtocolError
+from .masking import GroupView, ProtocolError, plaintext_words
 
-_LEN = struct.Struct("<I")
+_KINDS = {"round": 1, "ciphertext": 2, "recovery_share": 3, "recovery_request": 4}
+_VECTOR_KINDS = {_KINDS[name]: name for name in ("ciphertext", "recovery_share")}
+# the fixed fields of each layout, kind byte first
+_ROUND = struct.Struct("<BQIII")
+_VECTOR = struct.Struct("<BIQ")
+_REQUEST = struct.Struct("<BQ")
+_WORD = np.dtype("<u4")
 
 
 @dataclass(frozen=True)
@@ -32,85 +48,56 @@ class VectorMessage:
     kind: str = "ciphertext"  # or "recovery_share"
 
 
-def frame(header: dict, body: bytes = b"") -> bytes:
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return _LEN.pack(len(head)) + head + _LEN.pack(len(body)) + body
-
-
-def _object(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object whose names are distinct; a repeated name would drop a value."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ProtocolError("frame header repeats a name within an object")
-    return obj
-
-
-def unframe(blob: bytes) -> tuple[dict, bytes]:
-    if len(blob) < 2 * _LEN.size:
-        raise ProtocolError("truncated frame")
-    (head_len,) = _LEN.unpack_from(blob, 0)
-    head_end = _LEN.size + head_len
-    if len(blob) < head_end + _LEN.size:
-        raise ProtocolError("truncated frame header")
+def _pack(fmt: str, *fields: int) -> bytes:
     try:
-        header = json.loads(blob[_LEN.size : head_end].decode(), object_pairs_hook=_object)
-    except ProtocolError:
-        raise
-    except (ValueError, RecursionError):  # bad UTF-8, bad JSON, too deep
-        raise ProtocolError("frame header is not JSON") from None
-    if not isinstance(header, dict):
-        raise ProtocolError("frame header is not a JSON object")
-    (body_len,) = _LEN.unpack_from(blob, head_end)
-    body_end = head_end + _LEN.size + body_len
-    if len(blob) != body_end:
-        raise ProtocolError("frame length mismatch")
-    return header, blob[head_end + _LEN.size :]
+        return struct.pack(fmt, *fields)
+    except struct.error as exc:
+        raise ProtocolError(f"frame field out of range: {exc}") from None
 
 
-def _int(value: object, name: str) -> int:
-    if type(value) is not int:  # also rejects missing fields, bools and floats
-        raise ProtocolError(f"{name} must be an integer")
-    return value
+def _fixed(layout: struct.Struct, blob: bytes, kinds: Container[int]) -> tuple:
+    """The fixed fields of a frame whose kind is in ``kinds``."""
+    if len(blob) < layout.size:
+        raise ProtocolError(f"frame of {len(blob)} bytes is shorter than its fixed fields")
+    fields = layout.unpack_from(blob)
+    if fields[0] not in kinds:
+        raise ProtocolError(f"unexpected frame kind {fields[0]}")
+    return fields
 
 
-def _ints(value: object, name: str) -> list[int]:
-    if not isinstance(value, list):
-        raise ProtocolError(f"{name} must be a list of integers")
-    return [_int(v, name) for v in value]
+def _words(blob: bytes, offset: int) -> int:
+    """How many 32-bit words follow ``offset``; the frame must end on a whole one."""
+    count, ragged = divmod(len(blob) - offset, 4)
+    if ragged:
+        raise ProtocolError("frame does not end on a whole 32-bit word")
+    return count
 
 
 # --- round announcement ---
 
 def encode_announcement(group: GroupView) -> bytes:
-    header = {
-        "type": "round",
-        "round_id": group.round_id,
-        "members": list(group.member_ids),
-        "vector_length": group.vector_length,
-    }
-    if group.sketch_seeds is not None:
-        header["sketch_seeds"] = [[a, b] for a, b in group.sketch_seeds]
-    return frame(header, b"".join(group.public_keys))
+    seeds = [word for pair in group.sketch_seeds or () for word in pair]
+    n = len(group.member_ids)
+    head = _pack(
+        f"<BQIII{n}I{len(seeds)}Q", _KINDS["round"], group.round_id, group.vector_length, n,
+        len(seeds) // 2, *group.member_ids, *seeds,
+    )
+    return head + b"".join(group.public_keys)
 
 
 def decode_announcement(blob: bytes) -> GroupView:
-    header, body = unframe(blob)
-    if header.get("type") != "round":
-        raise ProtocolError("not a round announcement")
-    members = tuple(_ints(header.get("members"), "members"))
-    if len(body) != KEY_BYTES * len(members):
-        raise ProtocolError(f"announcement body is not {KEY_BYTES} bytes per member")
-    seeds = header.get("sketch_seeds")
-    if seeds is not None:
-        if not isinstance(seeds, list) or not all(isinstance(p, list) and len(p) == 2 for p in seeds):
-            raise ProtocolError("sketch_seeds must be a list of integer pairs")
-        seeds = tuple((_int(a, "sketch_seeds"), _int(b, "sketch_seeds")) for a, b in seeds)
+    _, round_id, length, n, rows = _fixed(_ROUND, blob, (_KINDS["round"],))
+    keys_at = _ROUND.size + 4 * n + 16 * rows
+    need = keys_at + KEY_BYTES * n
+    if len(blob) != need:
+        raise ProtocolError(f"announcement is {len(blob)} bytes, its counts need {need}")
+    seeds = struct.unpack_from(f"<{2 * rows}Q", blob, _ROUND.size + 4 * n)
     return GroupView(
-        round_id=_int(header.get("round_id"), "round_id"),
-        member_ids=members,
-        public_keys=tuple(body[i : i + KEY_BYTES] for i in range(0, len(body), KEY_BYTES)),
-        vector_length=_int(header.get("vector_length"), "vector_length"),
-        sketch_seeds=seeds,
+        round_id=round_id,
+        member_ids=struct.unpack_from(f"<{n}I", blob, _ROUND.size),
+        public_keys=tuple(blob[at : at + KEY_BYTES] for at in range(keys_at, need, KEY_BYTES)),
+        vector_length=length,
+        sketch_seeds=tuple(zip(seeds[::2], seeds[1::2])) if rows else None,
     )
 
 
@@ -119,34 +106,30 @@ def decode_announcement(blob: bytes) -> GroupView:
 def encode_vector_message(msg: VectorMessage) -> bytes:
     if msg.kind not in ("ciphertext", "recovery_share"):
         raise ProtocolError(f"unknown message kind {msg.kind!r}")
-    header = {"type": msg.kind, "user_id": msg.user_id, "round_id": msg.round_id}
-    body = np.asarray(msg.entries, dtype="<u4").tobytes()
-    return frame(header, body)
+    words = np.asarray(msg.entries)
+    if words.dtype != _WORD:  # any other array must hold integers in [0, 2**32)
+        words = plaintext_words(words).astype(_WORD)
+    return _pack(_VECTOR.format, _KINDS[msg.kind], msg.user_id, msg.round_id) + words.tobytes()
 
 
 def decode_vector_message(blob: bytes) -> VectorMessage:
-    header, body = unframe(blob)
-    kind = header.get("type")
-    if kind not in ("ciphertext", "recovery_share"):
-        raise ProtocolError(f"unexpected message type {kind!r}")
-    if len(body) % 4:
-        raise ProtocolError("vector body is not whole 32-bit words")
+    kind, user_id, round_id = _fixed(_VECTOR, blob, _VECTOR_KINDS)
+    _words(blob, _VECTOR.size)
     return VectorMessage(
-        user_id=_int(header.get("user_id"), "user_id"),
-        round_id=_int(header.get("round_id"), "round_id"),
-        entries=np.frombuffer(body, dtype="<u4").astype(np.uint32),
-        kind=kind,
+        user_id=user_id,
+        round_id=round_id,
+        entries=np.frombuffer(blob, _WORD, offset=_VECTOR.size).astype(np.uint32),
+        kind=_VECTOR_KINDS[kind],
     )
 
 
 # --- fault recovery ---
 
 def encode_recovery_request(round_id: int, online: list[int]) -> bytes:
-    return frame({"type": "recovery_request", "round_id": round_id, "online": sorted(online)})
+    return _pack(f"<BQ{len(online)}I", _KINDS["recovery_request"], round_id, *sorted(online))
 
 
 def decode_recovery_request(blob: bytes) -> tuple[int, list[int]]:
-    header, body = unframe(blob)
-    if header.get("type") != "recovery_request" or body:
-        raise ProtocolError("not a recovery request")
-    return _int(header.get("round_id"), "round_id"), _ints(header.get("online"), "online")
+    _, round_id = _fixed(_REQUEST, blob, (_KINDS["recovery_request"],))
+    n = _words(blob, _REQUEST.size)
+    return round_id, list(struct.unpack_from(f"<{n}I", blob, _REQUEST.size))

@@ -5,7 +5,6 @@ prints them all after the run, one [PASS]/[FAIL] line per criterion.
 """
 
 import random
-import struct
 import time
 
 import numpy as np
@@ -154,11 +153,10 @@ def test_criterion_04_sketch_error_bound(record_property):
 
 
 def _vector_body_bytes(length: int) -> int:
-    blob = encode_vector_message(
-        VectorMessage(0, 0, np.zeros(length, dtype=np.uint32))
-    )
-    head_len = struct.unpack_from("<I", blob, 0)[0]
-    return struct.unpack_from("<I", blob, 4 + head_len)[0]
+    """What a ciphertext frame of ``length`` words carries beyond an empty one."""
+    def frame(n: int) -> bytes:
+        return encode_vector_message(VectorMessage(0, 0, np.zeros(n, dtype=np.uint32)))
+    return len(frame(length)) - len(frame(0))
 
 
 def test_criterion_05_message_sizing(record_property):

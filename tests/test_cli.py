@@ -506,9 +506,9 @@ class TestSimulateCli:
 
     @pytest.mark.parametrize("argv, digest, recovers", [
         (["--n-stations", "6"],
-         "2cb7bcc59e2fd450aad53e34c57ea36d8ccbc296844c7afbcdccd1acbb37efeb", False),
+         "0f4a1e773730d510c1bd87f1c27b17c886276a83de2455c3a1e1fb9457245ae4", False),
         (["--mode", "sketch", "--dropout", "0.1"],
-         "fcb530df7f4ea6d5f4c0f654dbe2f12c7d7dfb79ad6a499201eec23a7b8e2b04", True),
+         "b418aed155ccf23e167e64acff5a1611c422ce739ba7215d898747cd5eca3037", True),
     ], ids=["station", "sketch-dropout"])
     def test_rounds_report_is_frozen(self, tmp_path, argv, digest, recovers):
         # The report holds sizes, recoveries and oracle verdicts, never a mask
@@ -521,7 +521,10 @@ class TestSimulateCli:
         # began to carry raw keys in their body instead of hex in the header:
         # each 4-member announcement is 172 bytes shorter, which moves every
         # download count, and since the sketch seeds no longer come from the
-        # round rng, the sketch rounds draw other members offline.
+        # round rng, the sketch rounds draw other members offline. Re-frozen
+        # again when every frame became a fixed little-endian layout: only
+        # the upload and download counts moved (a 4-member announcement is
+        # 165 bytes, a 12-word ciphertext 61), no member or verdict did.
         code = main(
             ["--seed", "7", "--out", str(tmp_path), "simulate", "--users", "12",
              "--group-size", "4", "--rounds", "2"] + argv
@@ -543,6 +546,21 @@ class TestSimulateCli:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rounds", "0"], "--rounds must be at least 1"),
+        (["--rounds", "-1"], "--rounds must be at least 1"),
+        (["--mode", "od", "--n-stations", "-3"], "n_stations must be at least 1"),
+        (["--n-stations", "-3"], "n_stations must be at least 1"),
+        (["--mode", "grid", "--grid-rows", "-2", "--grid-cols", "-3"],
+         "grid_rows must be at least 1"),
+    ], ids=["rounds-0", "rounds-negative", "od-stations", "station-stations", "grid"])
+    def test_no_rounds_or_negative_dimensions_exit_one(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "simulate", "--users", "4", "--group-size", "2"] + argv)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
 
     def test_oracle_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -29,7 +29,7 @@ from mobagg.privagg import (
     shared_point,
 )
 from mobagg.privagg.masking import MAX_VECTOR_LENGTH
-from mobagg.privagg.wire import decode_announcement, encode_announcement, frame, unframe
+from mobagg.privagg.wire import decode_announcement, encode_announcement
 
 
 def make_group(n, round_id=0, length=16, seed=0, ids=None):
@@ -119,9 +119,8 @@ class TestMalformedKeys:
 
     def test_long_key_in_announcement_is_protocol_error(self):
         _, group = make_group(2)
-        header, body = unframe(encode_announcement(group))
-        with pytest.raises(ProtocolError, match="not 32 bytes per member"):
-            decode_announcement(frame(header, body + b"\0"))
+        with pytest.raises(ProtocolError, match="announcement is 94 bytes, its counts need 93"):
+            decode_announcement(encode_announcement(group) + b"\0")
 
     def test_long_key_in_view_is_protocol_error(self):
         _, group = make_group(2)
@@ -145,6 +144,13 @@ class TestGroupView:
         _, group = make_group(3)
         with pytest.raises(ProtocolError, match="not a group member"):
             group.position_of(3)
+
+    @pytest.mark.parametrize("ids", [(-1, 0), (0, 2**32)], ids=["negative", "2**32"])
+    def test_member_ids_outside_u32_rejected(self, ids):
+        # an announcement carries each member id as 32 bits
+        _, group = make_group(2)
+        with pytest.raises(ProtocolError, match=r"member_ids must lie in \[0, 2\*\*32\)"):
+            replace(group, member_ids=ids)
 
     def test_repr_and_equality_cover_announced_fields_only(self):
         _, group = make_group(3, round_id=5, length=4)

@@ -1,14 +1,13 @@
-"""Length-prefixed JSON+binary framing and the round message encodings."""
+"""The four fixed little-endian frame layouts and the round message encodings."""
 
-import json
 import random
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wire_layouts as layouts
 from mobagg.harness.simulate import member_recover, member_submit
 from mobagg.privagg import (
     GroupView,
@@ -21,48 +20,130 @@ from mobagg.privagg import (
     encode_announcement,
     encode_recovery_request,
     encode_vector_message,
-    frame,
     keygen,
     recovery_share,
-    unframe,
 )
 from mobagg.sketch import make_params
 
+_DECODERS = (decode_announcement, decode_vector_message, decode_recovery_request)
+
+
+def _sample_frames():
+    """One frame of each layout: an announcement, a ciphertext, a recovery
+    share and a recovery request."""
+    rng = random.Random(7)
+    keys = {u: keygen(rng) for u in range(3)}
+    group = GroupView(
+        round_id=5,
+        member_ids=(0, 1, 2),
+        public_keys=tuple(keys[u].public_bytes for u in range(3)),
+        vector_length=4,
+        sketch_seeds=((1, 2), (3, 4)),
+    )
+    return [
+        encode_announcement(group),
+        encode_vector_message(VectorMessage(1, 5, np.arange(4, dtype=np.uint32))),
+        encode_vector_message(VectorMessage(2, 5, np.arange(3, dtype=np.uint32),
+                                            kind="recovery_share")),
+        encode_recovery_request(5, [0, 2]),
+    ]
+
+
+_SAMPLES = _sample_frames()
+_DECODER_OF = dict(zip(_SAMPLES, (decode_announcement, decode_vector_message,
+                                  decode_vector_message, decode_recovery_request)))
+
+
+class TestKnownAnswers:
+    """Each layout, byte for byte."""
+
+    def test_announcement(self):
+        group = GroupView(
+            round_id=0xF000_0000_0000_0007,
+            member_ids=(3, 9),
+            public_keys=(b"\x11" * 32, b"\x22" * 32),
+            vector_length=12,
+            sketch_seeds=(((1 << 61) - 2, 7),),
+        )
+        expected = bytes.fromhex(
+            "01"                    # kind: round announcement
+            "07000000000000f0"      # round id, high bits set
+            "0c000000"              # vector length 12
+            "02000000"              # 2 members
+            "01000000"              # 1 seed row
+            "03000000" "09000000"   # member ids
+            "feffffffffffff1f"      # seed a = 2**61 - 2
+            "0700000000000000"      # seed b = 7
+        ) + b"\x11" * 32 + b"\x22" * 32
+        assert encode_announcement(group) == expected
+        assert decode_announcement(expected) == group
+
+    def test_ciphertext(self):
+        msg = VectorMessage(123, (1 << 63) + 4567, np.array([1, 0xDEADBEEF], dtype=np.uint32))
+        expected = bytes.fromhex("02" "7b000000" "d711000000000080" "01000000" "efbeadde")
+        assert encode_vector_message(msg) == expected
+        back = decode_vector_message(expected)
+        assert (back.kind, back.user_id, back.round_id) == ("ciphertext", 123, msg.round_id)
+        assert back.entries.tolist() == [1, 0xDEADBEEF]
+
+    def test_recovery_share(self):
+        msg = VectorMessage(5, 2, np.array([7], dtype=np.uint32), kind="recovery_share")
+        expected = bytes.fromhex("03" "05000000" "0200000000000000" "07000000")
+        assert encode_vector_message(msg) == expected
+        assert decode_vector_message(expected).kind == "recovery_share"
+
+    def test_recovery_request(self):
+        expected = bytes.fromhex("04" "ffffffffffffffff" "01000000" "03000000" "05000000")
+        assert encode_recovery_request(2**64 - 1, [5, 1, 3]) == expected
+        assert decode_recovery_request(expected) == (2**64 - 1, [1, 3, 5])
+
 
 class TestFraming:
+    """A frame is its fixed fields and its arrays, and nothing else: the
+    transport delimits it, so it carries no length of its own."""
+
     def test_round_trip(self):
-        header = {"type": "x", "round_id": 3}
-        body = b"\x01\x02\x03"
-        assert unframe(frame(header, body)) == (header, body)
+        # the tests' own copy of the layouts reads and rebuilds every frame
+        for blob in _SAMPLES:
+            assert layouts.build(layouts.parse(blob)) == blob
 
     def test_empty_body(self):
-        header, body = unframe(frame({"a": 1}))
-        assert header == {"a": 1} and body == b""
+        assert encode_recovery_request(9, []) == bytes.fromhex("04" "0900000000000000")
+        assert decode_recovery_request(encode_recovery_request(9, [])) == (9, [])
+        empty = encode_vector_message(VectorMessage(1, 9, np.zeros(0, np.uint32)))
+        assert decode_vector_message(empty).entries.shape == (0,)
 
     def test_layout_arithmetic(self):
-        # 4-byte LE header length + header + 4-byte LE body length + body
-        header = {"k": "v"}
-        body = b"abcdef"
-        blob = frame(header, body)
-        head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        assert len(blob) == 4 + len(head_bytes) + 4 + len(body)
-        assert struct.unpack_from("<I", blob, 0)[0] == len(head_bytes)
-        assert blob[-len(body):] == body
+        # announcement 21 + 36 per member + 16 per seed row; vector 13 + 4 per
+        # word; recovery request 9 + 4 per online id
+        announcement, ciphertext, share, request = _SAMPLES
+        assert len(announcement) == 21 + 36 * 3 + 16 * 2
+        assert len(ciphertext) == 13 + 4 * 4
+        assert len(share) == 13 + 4 * 3
+        assert len(request) == 9 + 4 * 2
 
     def test_truncations_rejected(self):
-        blob = frame({"a": 1}, b"xyz")
-        for cut in (1, 5, len(blob) - 1):
-            with pytest.raises(ProtocolError):
-                unframe(blob[:cut])
-        with pytest.raises(ProtocolError):
-            unframe(blob + b"!")
+        # an announcement's length follows from its counts, so every cut or
+        # extension fails; a vector or id list that ends on a whole word is a
+        # shorter list, and the aggregator checks its length against the round
+        for blob, fixed in zip(_SAMPLES, (None, 13, 13, 9)):
+            decode = _DECODER_OF[blob]
+            for cut in range(len(blob)):
+                if fixed is not None and cut >= fixed and (cut - fixed) % 4 == 0:
+                    decode(blob[:cut])
+                    continue
+                with pytest.raises(ProtocolError):
+                    decode(blob[:cut])
+            if fixed is None:
+                with pytest.raises(ProtocolError):
+                    decode(blob + b"!")
 
 
 class TestVectorMessages:
     def test_payload_is_four_bytes_per_word(self):
         for t in (1, 7, 64, 582, 2048):
-            _, body = unframe(encode_vector_message(VectorMessage(1, 0, np.zeros(t, np.uint32))))
-            assert len(body) == 4 * t
+            blob = encode_vector_message(VectorMessage(1, 0, np.zeros(t, np.uint32)))
+            assert len(blob) == 13 + 4 * t
 
     def test_round_trip(self):
         entries = np.array([0, 1, 2**32 - 1, 7], dtype=np.uint32)
@@ -73,9 +154,8 @@ class TestVectorMessages:
 
     def test_body_length_matches_payload_accounting(self):
         entries = np.zeros(582 * 2, dtype=np.uint32)
-        blob = encode_vector_message(VectorMessage(1, 0, entries))
-        _, body = unframe(blob)
-        assert len(body) == 4 * 582 * 2 == 4656
+        words = layouts.parse(encode_vector_message(VectorMessage(1, 0, entries)))["words"]
+        assert len(words) == 4 * 582 * 2 == 4656
 
     def test_recovery_share_kind(self):
         msg = VectorMessage(5, 2, np.arange(3, dtype=np.uint32), kind="recovery_share")
@@ -86,11 +166,35 @@ class TestVectorMessages:
             encode_vector_message(VectorMessage(1, 0, np.zeros(1, dtype=np.uint32), kind="junk"))
 
     def test_ragged_body_rejected(self):
-        blob = encode_vector_message(VectorMessage(1, 0, np.zeros(2, dtype=np.uint32)))
-        header, body = unframe(blob)
-        bad = frame({"type": "ciphertext", "user_id": 1, "round_id": 0}, body[:-1])
-        with pytest.raises(ProtocolError):
+        fields = layouts.parse(encode_vector_message(VectorMessage(1, 0, np.zeros(2, np.uint32))))
+        bad = layouts.build({**fields, "words": fields["words"][:-1]})
+        with pytest.raises(ProtocolError, match="whole 32-bit word"):
             decode_vector_message(bad)
+
+
+class TestEncoderRanges:
+    """A field the layout cannot hold is a ProtocolError at the encoder."""
+
+    @pytest.mark.parametrize("user_id, round_id, entries", [
+        (-1, 0, [0]), (2**32, 0, [0]), (1, -1, [0]), (1, 2**64, [0]), (1.5, 0, [0]),
+        (1, 0, [-1]), (1, 0, [2**32]),
+    ])
+    def test_vector_message(self, user_id, round_id, entries):
+        with pytest.raises(ProtocolError):
+            encode_vector_message(VectorMessage(user_id, round_id, np.array(entries)))
+
+    @pytest.mark.parametrize("round_id, online", [
+        (-1, [0]), (2**64, [0]), (0, [-1]), (0, [2**32]),
+    ])
+    def test_recovery_request(self, round_id, online):
+        with pytest.raises(ProtocolError):
+            encode_recovery_request(round_id, online)
+
+    @pytest.mark.parametrize("seeds", [((-1, 0),), ((1, 2**64),)])
+    def test_announcement_seeds(self, seeds):
+        group = GroupView(0, (0,), (b"\x11" * 32,), 1, sketch_seeds=seeds)
+        with pytest.raises(ProtocolError, match="out of range"):
+            encode_announcement(group)
 
 
 class TestAnnouncement:
@@ -116,24 +220,22 @@ class TestAnnouncement:
         assert back.sketch_seeds is None and back == group
 
     def test_two_hundred_member_size_accounting(self):
-        # the body is the 200 raw keys in member order, 32 bytes each; the
-        # header names no key, and the frame length follows from both
+        # the 200 ids in 4 bytes each, then the 200 raw keys in member order
         group = self.make_group(200, 1164)
         blob = encode_announcement(group)
-        header, body = unframe(blob)
-        assert body == b"".join(group.public_keys) and len(body) == 32 * 200
-        assert "public_keys" not in header
-        head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        assert len(blob) == 4 + len(head_bytes) + 4 + 32 * 200
+        fields = layouts.parse(blob)
+        assert fields["keys"] == b"".join(group.public_keys) and len(fields["keys"]) == 32 * 200
+        assert fields["members"] == list(range(200))
+        assert len(blob) == 21 + 4 * 200 + 32 * 200
 
     def test_rejects_other_messages(self):
-        with pytest.raises(ProtocolError):
-            decode_announcement(frame({"type": "recovery_request"}))
+        with pytest.raises(ProtocolError, match="unexpected frame kind 4"):
+            decode_announcement(encode_recovery_request(0, [0] * 20))
 
 
 class TestAnnouncedKeys:
-    """The announcement's body is one 32-byte public key per member, in
-    ``members`` order, and nothing else."""
+    """The announcement ends in one 32-byte public key per member, in
+    member order, and nothing else."""
 
     def announce(self):
         rng = random.Random(5)
@@ -144,12 +246,13 @@ class TestAnnouncedKeys:
             public_keys=tuple(keygen(rng).public_bytes for _ in ids),
             vector_length=4,
         )
-        return group, *unframe(encode_announcement(group))
+        return group, layouts.parse(encode_announcement(group))
 
     def test_body_keys_decode_in_member_order(self):
-        group, header, body = self.announce()
-        view = decode_announcement(frame(header, body))
-        assert view.public_keys == tuple(body[i : i + 32] for i in (0, 32, 64))
+        group, fields = self.announce()
+        keys = fields["keys"]
+        view = decode_announcement(layouts.build(fields))
+        assert view.public_keys == tuple(keys[i : i + 32] for i in (0, 32, 64))
         assert view.public_keys == group.public_keys
 
     @pytest.mark.parametrize("edit", [
@@ -160,18 +263,9 @@ class TestAnnouncedKeys:
         pytest.param(lambda b: b"", id="empty"),
     ])
     def test_body_that_does_not_fit_the_members_rejected(self, edit):
-        _, header, body = self.announce()
-        with pytest.raises(ProtocolError, match="announcement body"):
-            decode_announcement(frame(header, edit(body)))
-
-    def test_repeated_name_rejected(self):
-        # JSON keeps the last of two equal names; the frame must not decode
-        _, header, body = self.announce()
-        head = json.dumps(header, sort_keys=True, separators=(",", ":"))
-        assert '"members":[1,10,12]' in head
-        repeated = head.replace('"members":', '"members":[1,10],"members":')
-        with pytest.raises(ProtocolError, match="repeats a name"):
-            decode_announcement(_raw_frame(repeated.encode(), body))
+        _, fields = self.announce()
+        with pytest.raises(ProtocolError, match="its counts need 129"):
+            decode_announcement(layouts.build({**fields, "keys": edit(fields["keys"])}))
 
 
 class TestRecoveryRequest:
@@ -181,25 +275,8 @@ class TestRecoveryRequest:
 
     def test_rejects_vector_message(self):
         blob = encode_vector_message(VectorMessage(1, 0, np.zeros(1, dtype=np.uint32)))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="unexpected frame kind 2"):
             decode_recovery_request(blob)
-
-
-def _sample_frames():
-    rng = random.Random(7)
-    keys = {u: keygen(rng) for u in range(3)}
-    group = GroupView(
-        round_id=5,
-        member_ids=(0, 1, 2),
-        public_keys=tuple(keys[u].public_bytes for u in range(3)),
-        vector_length=4,
-        sketch_seeds=((1, 2), (3, 4)),
-    )
-    return [
-        encode_announcement(group),
-        encode_vector_message(VectorMessage(1, 5, np.arange(4, dtype=np.uint32))),
-        encode_recovery_request(5, [0, 2]),
-    ]
 
 
 def _sketch_member():
@@ -218,91 +295,74 @@ def _sketch_member():
 
 
 _MEMBER_KEY, _MEMBER_PARAMS, _MEMBER_VIEW, _MEMBER_FRAMES = _sketch_member()
-
-
-def _reannounce(seeds: object, length: object) -> bytes:
-    header, body = unframe(_MEMBER_FRAMES[0])
-    return frame({**header, "sketch_seeds": seeds, "vector_length": length}, body)
-
-
-def _rebody(body: bytes) -> bytes:
-    return frame(unframe(_MEMBER_FRAMES[0])[0], body)
-
-
-_DECODERS = (unframe, decode_announcement, decode_vector_message, decode_recovery_request)
+_MEMBER_FIELDS = layouts.parse(_MEMBER_FRAMES[0])
 _MEMBER_STEPS = (
     lambda blob: member_submit(_MEMBER_KEY, 1, np.arange(5), _MEMBER_PARAMS, blob),
     lambda blob: member_recover(_MEMBER_KEY, 1, _MEMBER_VIEW, blob),
 )
+# the base of each hostile case below: one frame of each layout, as fields
+_BASE = {
+    decode_vector_message: {"type": "ciphertext", "user_id": 1, "round_id": 0,
+                            "words": b"\0" * 8},
+    decode_recovery_request: {"type": "recovery_request", "round_id": 0, "online": [0, 2]},
+    decode_announcement: {"type": "round", "round_id": 0, "vector_length": 1, "members": [0],
+                          "sketch_seeds": [], "keys": b"\x11" * 32},
+}
 
-
-def _raw_frame(head: bytes, body: bytes = b"") -> bytes:
-    return struct.pack("<I", len(head)) + head + struct.pack("<I", len(body)) + body
-
-
-_json = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=8,
-)
-_headers = st.fixed_dictionaries(
-    {"type": st.sampled_from(["round", "ciphertext", "recovery_share", "recovery_request"])},
-    optional={name: _json for name in (
-        "round_id", "user_id", "members", "vector_length", "sketch_seeds", "online",
-    )},
-)
+_u32 = st.integers(0, 2**32 - 1)
+_u64 = st.integers(0, 2**64 - 1)
+_seeds = st.lists(st.lists(_u64, min_size=2, max_size=2), max_size=3)
 
 
 class TestHostileInput:
-    @pytest.mark.parametrize("head", [
-        pytest.param(b"\xff\xfe", id="not-utf8"),
-        pytest.param(b"{not json", id="not-json"),
-        pytest.param(b"[1, 2]", id="json-list"),
-        pytest.param(b"[" * 100_000, id="too-deep"),
+    @pytest.mark.parametrize("blob", [
+        pytest.param(b"", id="empty"),
+        pytest.param(b"\x01", id="kind-only"),
+        pytest.param(b"\x09" + bytes(40), id="unknown-kind"),
     ])
-    def test_bad_header_rejected(self, head):
-        blob = _raw_frame(head)
+    def test_bad_header_rejected(self, blob):
         for decode in _DECODERS:
             with pytest.raises(ProtocolError):
                 decode(blob)
 
     def test_huge_header_length_rejected(self):
-        with pytest.raises(ProtocolError):
-            unframe(struct.pack("<I", 2**32 - 1) + b"{}" + struct.pack("<I", 0))
+        # counts that claim more than the frame holds fail on the length,
+        # before any array is read
+        fields = {**_BASE[decode_announcement], "member_count": 2**32 - 1, "seed_rows": 2**32 - 1}
+        with pytest.raises(ProtocolError, match="its counts need"):
+            decode_announcement(layouts.build(fields))
 
     @pytest.mark.parametrize("header, decode", [
-        ({"type": "ciphertext", "round_id": 0}, decode_vector_message),
-        ({"type": "ciphertext", "user_id": "1", "round_id": 0}, decode_vector_message),
-        ({"type": "ciphertext", "user_id": 1, "round_id": 1.5}, decode_vector_message),
-        ({"type": "recovery_request", "round_id": "x", "online": []}, decode_recovery_request),
-        ({"type": "recovery_request", "round_id": 0, "online": ["a"]}, decode_recovery_request),
-        ({"type": "recovery_request", "round_id": 0, "online": 3}, decode_recovery_request),
-        ({"type": "recovery_request", "round_id": 0}, decode_recovery_request),
-        ({"type": "round", "members": [0], "vector_length": 1}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": ["0"], "vector_length": 1},
-         decode_announcement),
-        ({"type": "round", "round_id": 0, "members": 0, "vector_length": 1}, decode_announcement),
-        ({"type": "round", "round_id": 2**64, "members": [0], "vector_length": 1},
-         decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "vector_length": True},
-         decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "vector_length": 1,
-          "sketch_seeds": [[1]]}, decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "vector_length": 0},
-         decode_announcement),
-        ({"type": "round", "round_id": 0, "members": [0], "vector_length": 2**40},
-         decode_announcement),
+        # a field cut off, another frame's kind, words that do not fill the tail
+        ({"cut": 12}, decode_vector_message),
+        ({"kind": 4}, decode_vector_message),
+        ({"words": b"\0" * 5}, decode_vector_message),
+        ({"cut": 8}, decode_recovery_request),
+        ({"kind": 2}, decode_recovery_request),
+        ({"kind": 0}, decode_recovery_request),
+        ({"cut": -1}, decode_recovery_request),
+        ({"cut": 20}, decode_announcement),
+        ({"kind": 255}, decode_announcement),
+        # repeated, absent or unkeyed members; seed rows the frame lacks
+        ({"members": [0, 0], "keys": b"\x11" * 64}, decode_announcement),
+        ({"members": [], "keys": b""}, decode_announcement),
+        ({"members": [0, 1]}, decode_announcement),
+        ({"seed_rows": 1}, decode_announcement),
+        ({"vector_length": 0}, decode_announcement),
+        ({"vector_length": 2**24 + 1}, decode_announcement),
     ])
     def test_missing_or_mistyped_fields_rejected(self, header, decode):
-        # an announcement carries one member's key, so only its header is at fault
-        body = b"\x11" * 32 if decode is decode_announcement else b""
+        fields = {**_BASE[decode], **header}
+        blob = layouts.build(fields)
+        if "cut" in fields:
+            blob = blob[: fields["cut"]]
         with pytest.raises(ProtocolError):
-            decode(frame(header, body))
+            decode(blob)
 
     def test_od_vector_length_admitted(self):
         # 582 stations squared: the longest vector the pipeline announces
-        header = {"type": "round", "round_id": 0, "members": [0], "vector_length": 582 * 582}
-        assert decode_announcement(frame(header, b"\x11" * 32)).vector_length == 338_724
+        blob = layouts.build({**_BASE[decode_announcement], "vector_length": 582 * 582})
+        assert decode_announcement(blob).vector_length == 338_724
 
     @pytest.mark.parametrize("mask", [
         pytest.param(lambda own, view: blinding_factors(own, 0, view), id="blinding_factors"),
@@ -325,22 +385,34 @@ class TestHostileInput:
     @settings(max_examples=300, deadline=None)
     @given(blob=st.one_of(
         st.binary(max_size=256),
-        st.binary(max_size=64).map(_raw_frame),
-        st.tuples(st.sampled_from(_sample_frames() + _MEMBER_FRAMES),
+        # truncations of valid frames
+        st.tuples(st.sampled_from(_SAMPLES + _MEMBER_FRAMES),
                   st.integers(0, 2000)).map(lambda fc: fc[0][: fc[1]]),
-        _headers.map(frame),
-        st.builds(
-            _reannounce,
-            _json | st.lists(st.lists(st.integers(-2**70, 2**70), max_size=3), max_size=3),
-            st.sampled_from([8, 4, 2**24]),
-        ),
-        # the member's valid header over bodies of 0-3 whole keys, its group's
-        # or arbitrary ones, and over ragged bodies
+        # a valid frame under any kind byte
+        st.tuples(st.sampled_from(_SAMPLES + _MEMBER_FRAMES),
+                  st.integers(0, 255)).map(lambda fk: bytes([fk[1]]) + fk[0][1:]),
+        # a valid frame's fixed fields followed by arbitrary bytes
+        st.tuples(st.sampled_from([b[:21] for b in _SAMPLES[:1]] + [b[:13] for b in _SAMPLES[1:3]]
+                                  + [_SAMPLES[3][:9]]),
+                  st.binary(max_size=100)).map(b"".join),
+        # announcements whose counts need not fit their length
+        st.fixed_dictionaries({
+            "type": st.just("round"), "round_id": _u64, "vector_length": _u32,
+            "members": st.lists(_u32, max_size=3), "sketch_seeds": _seeds,
+            "keys": st.binary(max_size=100),
+        }, optional={"member_count": _u32, "seed_rows": _u32}).map(layouts.build),
+        # the member's announcement with other seeds, lengths or counts
+        st.fixed_dictionaries({}, optional={
+            "sketch_seeds": _seeds, "vector_length": st.sampled_from([8, 4, 0, 2**24, 2**32 - 1]),
+            "seed_rows": st.integers(0, 3), "member_count": st.integers(0, 4),
+        }).map(lambda edit: layouts.build({**_MEMBER_FIELDS, **edit})),
+        # the member's valid fields over 0-3 whole keys, its group's or
+        # arbitrary ones, and over ragged key bytes
         st.lists(
             st.sampled_from(_MEMBER_VIEW.public_keys) | st.binary(min_size=32, max_size=32),
             max_size=3,
-        ).map(b"".join).map(_rebody),
-        st.binary(max_size=100).map(_rebody),
+        ).map(b"".join).map(lambda keys: layouts.build({**_MEMBER_FIELDS, "keys": keys})),
+        st.binary(max_size=100).map(lambda keys: layouts.build({**_MEMBER_FIELDS, "keys": keys})),
     ))
     def test_arbitrary_bytes_decode_or_raise_protocol_error(self, blob):
         # the decoders, and the member steps that act on what they decode
