@@ -79,6 +79,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.kind == "station":
         if args.n_stations is None:
             raise ValueError("station ingest needs --n-stations")
+        if args.n_stations < 1:
+            raise ValueError(f"--n-stations must be at least 1, got {args.n_stations}")
         excluded = [m for m in (args.exclude_modes or "").split(",") if m]
         result = parse_trips(args.input, strict=args.strict, exclude_modes=excluded)
         stations = station_series(result.records, epochs, args.n_stations)

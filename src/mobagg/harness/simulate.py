@@ -47,6 +47,7 @@ from ..privagg import (
     recovery_share,
     VectorMessage,
 )
+from ..privagg.masking import MAX_VECTOR_LENGTH
 from .transport import DOWNLOAD, UPLOAD, InProcessTransport
 
 MODES = ("station", "grid", "od", "sketch")
@@ -83,6 +84,13 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        # refused here, before any key or plaintext is made for the round
+        dims = (self.grid_rows, self.grid_cols) if self.mode == "grid" else (self.n_stations,)
+        if all(dims) and self.vector_length() > MAX_VECTOR_LENGTH:
+            raise ValueError(
+                f"{self.mode} mode's vector of {self.vector_length()} words exceeds "
+                f"the {MAX_VECTOR_LENGTH} a round may carry"
+            )
 
     def plain_length(self) -> int:
         """Length of the per-user plaintext vector (before any sketching)."""

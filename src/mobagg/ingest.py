@@ -6,7 +6,17 @@ grid). Both reduce to integer count matrices over a shared hourly epoch grid
 (``timeseries.EpochSpec``). Trip timestamps are naive wall clock, and one
 that carries a UTC offset is a bad row; GPS unix times are read as UTC, so a
 file bins the same on every host. Row parsing is lenient by default: bad rows
-are collected with their line numbers instead of aborting the file.
+are collected with their line numbers instead of aborting the file. A file
+named by path is read as UTF-8, with or without a leading byte-order mark.
+
+Trips are parsed as columns into a ``Trips`` table. A row in canonical form
+is converted with array operations: it has the header's field count, a
+non-blank card id, timestamps written exactly ``YYYY-MM-DDTHH:MM`` or
+``YYYY-MM-DDTHH:MM:SS`` in ASCII digits that name a real instant, stations of
+1 to 18 ASCII digits, an end no earlier than its start and a mode that is not
+excluded. Every other row takes the per-row path, in file order, through the
+same checks that build a ``TripRecord`` one row at a time, so both paths
+accept the same rows and report the same errors at the same lines.
 """
 
 from __future__ import annotations
@@ -17,8 +27,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import chain, compress, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +74,66 @@ class TripRecord:
     def __post_init__(self) -> None:
         if self.end_time < self.start_time:
             raise ValueError("trip ends before it starts")
+
+
+@dataclass(frozen=True, eq=False)
+class Trips:
+    """Trips as columns, in file order; indexing and iteration yield ``TripRecord`` rows.
+
+    Times are naive ``datetime64[us]``. Station columns are ``int64``; one
+    that holds an id past int64, which the per-row path accepts and no
+    station grid reaches, is an object column of Python ints.
+    """
+
+    card_id: tuple[str, ...]
+    start_time: np.ndarray
+    start_station: np.ndarray
+    end_time: np.ndarray
+    end_station: np.ndarray
+    mode: tuple[str | None, ...]
+
+    def __post_init__(self) -> None:
+        for name in ("start_time", "start_station", "end_time", "end_station"):
+            getattr(self, name).flags.writeable = False
+
+    @classmethod
+    def from_records(cls, records: Iterable[TripRecord]) -> "Trips":
+        rows = list(records)
+        starts = [r.start_time for r in rows]
+        ends = [r.end_time for r in rows]
+        if any(ts.tzinfo is not None for ts in starts + ends):
+            raise ValueError("trip timestamps must be naive wall clock")
+        return cls(
+            card_id=tuple(r.card_id for r in rows),
+            start_time=np.array(starts, dtype="M8[us]"),
+            start_station=_ids([r.start_station for r in rows]),
+            end_time=np.array(ends, dtype="M8[us]"),
+            end_station=_ids([r.end_station for r in rows]),
+            mode=tuple(r.mode for r in rows),
+        )
+
+    def __len__(self) -> int:
+        return len(self.card_id)
+
+    def __getitem__(self, i: int) -> TripRecord:
+        return TripRecord(
+            card_id=self.card_id[i],
+            start_time=self.start_time[i].item(),
+            start_station=int(self.start_station[i]),
+            end_time=self.end_time[i].item(),
+            end_station=int(self.end_station[i]),
+            mode=self.mode[i],
+        )
+
+    def __iter__(self) -> Iterator[TripRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def _ids(values: Sequence[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -137,9 +209,13 @@ def cell_of(point: GpsPoint, grid: GridSpec) -> int:
 
 @dataclass
 class ParseResult:
-    """Parsed records plus per-row errors (lenient mode keeps going)."""
+    """Parsed records plus per-row errors (lenient mode keeps going).
 
-    records: list
+    ``records`` is a ``Trips`` table for trips and a list of ``GpsPoint``
+    for GPS fixes.
+    """
+
+    records: Sequence
     errors: list[RowError] = field(default_factory=list)
 
     @property
@@ -149,65 +225,50 @@ class ParseResult:
 
 def _reader(source: str | Path | IO[str] | Iterable[str]):
     if isinstance(source, (str, Path)):
-        return open(source, "r", newline=""), True
+        return open(source, "r", newline="", encoding="utf-8-sig"), True
     return source, False
+
+
+def _check_header(fieldnames: Sequence[str] | None, required: Sequence[str]) -> None:
+    if fieldnames is None:
+        raise ParseFailure(0, "empty input")
+    missing = [c for c in required if c not in fieldnames]
+    if missing:
+        raise ParseFailure(1, f"missing columns: {', '.join(missing)}")
+
+
+def _build_rows(numbered, build, strict):
+    """Apply ``build`` to each ``(line, row)`` in order.
+
+    A row that ``build`` refuses is a ``RowError`` (in strict mode, the first
+    one raises ``ParseFailure``) and a row it returns None for is skipped.
+    Returns the ``(position, record)`` pairs of the rows built, position
+    counting the rows of ``numbered``, and the errors.
+    """
+    built, errors = [], []
+    for position, (line, row) in enumerate(numbered):
+        try:
+            rec = build(row)
+        except (ValueError, KeyError, TypeError) as exc:
+            if strict:
+                raise ParseFailure(line, str(exc)) from exc
+            errors.append(RowError(line, str(exc)))
+            continue
+        if rec is not None:
+            built.append((position, rec))
+    return built, errors
 
 
 def _parse_rows(source, required, build, strict):
     stream, owned = _reader(source)
     try:
         reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise ParseFailure(0, "empty input")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ParseFailure(1, f"missing columns: {', '.join(missing)}")
-        result = ParseResult(records=[])
-        for row in reader:
-            line = reader.line_num
-            try:
-                rec = build(row)
-            except (ValueError, KeyError, TypeError) as exc:
-                if strict:
-                    raise ParseFailure(line, str(exc)) from exc
-                result.errors.append(RowError(line, str(exc)))
-                continue
-            if rec is not None:
-                result.records.append(rec)
-        return result
+        _check_header(reader.fieldnames, required)
+        built, errors = _build_rows(((reader.line_num, row) for row in reader), build, strict)
+        return ParseResult([rec for _, rec in built], errors)
     finally:
         if owned:
             stream.close()
-
-
-def parse_trips(
-    source: str | Path | IO[str] | Iterable[str],
-    strict: bool = False,
-    exclude_modes: Sequence[str] = (),
-) -> ParseResult:
-    """Parse a trip CSV (card_id,start_time,start_station,end_time,end_station).
-
-    A ``mode`` column is honored when present; rows whose mode appears in
-    ``exclude_modes`` are silently skipped (not errors).
-    """
-    excluded = {m.strip().lower() for m in exclude_modes}
-
-    def build(row):
-        mode = row.get("mode")
-        if mode is not None:
-            mode = mode.strip() or None
-        if mode is not None and mode.lower() in excluded:
-            return None
-        return TripRecord(
-            card_id=_nonempty(row["card_id"], "card_id"),
-            start_time=_minute_time(row["start_time"], "start_time"),
-            start_station=_station(row["start_station"], "start_station"),
-            end_time=_minute_time(row["end_time"], "end_time"),
-            end_station=_station(row["end_station"], "end_station"),
-            mode=mode,
-        )
-
-    return _parse_rows(source, TRIP_FIELDS, build, strict)
 
 
 def parse_gps(
@@ -225,6 +286,221 @@ def parse_gps(
         )
 
     return _parse_rows(source, GPS_FIELDS, build, strict)
+
+
+def parse_trips(
+    source: str | Path | IO[str] | Iterable[str],
+    strict: bool = False,
+    exclude_modes: Sequence[str] = (),
+) -> ParseResult:
+    """Parse a trip CSV (card_id,start_time,start_station,end_time,end_station).
+
+    A ``mode`` column is honored when present; rows whose mode appears in
+    ``exclude_modes`` are silently skipped (not errors). Rows in canonical
+    form (see the module docstring) are converted as columns and every other
+    row one at a time; ``records`` is a ``Trips`` table in file order, and a
+    row's line is the physical line it ends on, as ``csv.DictReader`` counts.
+    """
+    excluded = {m.strip().lower() for m in exclude_modes}
+    stream, owned = _reader(source)
+    try:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        _check_header(header, TRIP_FIELDS)
+        tables, errors = [], []
+        while True:
+            rows, lines = [], []
+            for row in islice(reader, _CHUNK_ROWS):
+                rows.append(row)
+                lines.append(reader.line_num)
+            table, chunk_errors = _trip_chunk(header, rows, lines, excluded, strict)
+            tables.append(table)
+            errors += chunk_errors
+            if len(rows) < _CHUNK_ROWS:
+                break
+    finally:
+        if owned:
+            stream.close()
+    return ParseResult(_concat(tables), errors)
+
+
+#: csv rows converted at a time. A parse holds only this many as Python lists,
+#: and they mostly die before the garbage collector moves them to its oldest
+#: generation, whose collections scan the whole heap: 8,192-row chunks spent
+#: about a quarter of the parse there.
+_CHUNK_ROWS = 2048
+
+
+def _trip_chunk(
+    header: list[str], rows: list[list[str]], lines: list[int], excluded: set[str], strict: bool
+) -> tuple[Trips, list[RowError]]:
+    """The trips of a run of csv rows, with the line each ends on, and their row errors."""
+    fast, skipped, table = _canonical_trips(header, rows, excluded)
+    slow = np.flatnonzero(~(fast | skipped))
+    built, errors = _build_rows(
+        ((lines[i], _row_dict(header, rows[i])) for i in slow.tolist()),
+        lambda row: _trip(row, excluded),
+        strict,
+    )
+    if built:
+        rows_of = np.concatenate([np.flatnonzero(fast), slow[[pos for pos, _ in built]]])
+        table = _concat(
+            [table, Trips.from_records(rec for _, rec in built)], np.argsort(rows_of).tolist()
+        )
+    return table, errors
+
+
+def _trip(row: dict, excluded: set[str]) -> TripRecord | None:
+    """One trip from a row mapping, or None when its mode is excluded."""
+    mode = row.get("mode")
+    if mode is not None:
+        mode = mode.strip() or None
+    if mode is not None and mode.lower() in excluded:
+        return None
+    return TripRecord(
+        card_id=_nonempty(row["card_id"], "card_id"),
+        start_time=_minute_time(row["start_time"], "start_time"),
+        start_station=_station(row["start_station"], "start_station"),
+        end_time=_minute_time(row["end_time"], "end_time"),
+        end_station=_station(row["end_station"], "end_station"),
+        mode=mode,
+    )
+
+
+def _row_dict(header: list[str], row: list[str]) -> dict:
+    """The mapping ``csv.DictReader`` makes of a row: a short row's missing fields are None."""
+    return dict(zip(header, row + [None] * (len(header) - len(row))))
+
+
+def _concat(tables: list[Trips], order: list[int] | None = None) -> Trips:
+    """The rows of ``tables`` one after another, or picked in ``order`` from that sequence."""
+
+    def column(name: str) -> np.ndarray:
+        joined = np.concatenate([getattr(t, name) for t in tables])
+        return joined if order is None else joined[order]
+
+    def labels(name: str) -> tuple:
+        joined = tuple(chain.from_iterable(getattr(t, name) for t in tables))
+        return joined if order is None else tuple(map(joined.__getitem__, order))
+
+    return Trips(
+        card_id=labels("card_id"),
+        start_time=column("start_time"),
+        start_station=column("start_station"),
+        end_time=column("end_time"),
+        end_station=column("end_station"),
+        mode=labels("mode"),
+    )
+
+
+def _canonical_trips(
+    header: list[str], rows: list[list[str]], excluded: set[str]
+) -> tuple[np.ndarray, np.ndarray, Trips]:
+    """Mark the rows in canonical form and convert them as columns.
+
+    Returns the mask of canonical rows; the mask of rows that yield neither
+    a trip nor an error unread, which are blank rows (``csv.DictReader``
+    skips them) and rows of the header's field count whose mode is excluded
+    (``_trip`` skips them); and the canonical rows as a ``Trips`` table.
+    """
+    width = len(header)
+    lengths = _lengths(rows)
+    if not (lengths == width).all():  # stand blanks in for the other rows; none is canonical
+        blank = [""] * width
+        rows = [row if len(row) == width else blank for row in rows]
+    # a repeated column name reads its last column, as csv.DictReader's dicts do
+    at = {name: i for i, name in enumerate(header)}
+
+    def column(name: str) -> list[str]:
+        return list(map(itemgetter(at[name]), rows))
+
+    cards = list(map(str.strip, column("card_id")))
+    starts, ok = _iso_minutes(column("start_time"))
+    ends, ends_ok = _iso_minutes(column("end_time"))
+    start_ids, start_ids_ok = _station_ids(column("start_station"))
+    end_ids, end_ids_ok = _station_ids(column("end_station"))
+    if "mode" in at:
+        modes = [m.strip() or None for m in column("mode")]
+        dropped = np.fromiter(
+            (m is not None and m.lower() in excluded for m in modes), bool, len(modes)
+        )
+    else:
+        modes = [None] * len(rows)
+        dropped = np.zeros(len(rows), dtype=bool)
+    ok &= ends_ok & start_ids_ok & end_ids_ok & (ends >= starts) & ~dropped
+    ok &= np.fromiter(map(bool, cards), bool, len(cards))
+    keep = ok.tolist()
+    return ok, (lengths == 0) | dropped, Trips(
+        card_id=tuple(compress(cards, keep)),
+        start_time=starts[ok].view("M8[us]"),
+        start_station=start_ids[ok],
+        end_time=ends[ok].view("M8[us]"),
+        end_station=end_ids[ok],
+        mode=tuple(compress(modes, keep)),
+    )
+
+
+def _lengths(items: list) -> np.ndarray:
+    return np.fromiter(map(len, items), np.int64, len(items))
+
+
+def _code_points(texts: list[str], width: int) -> np.ndarray:
+    """Each text's code points, cut or zero-padded to ``width`` columns."""
+    return np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
+
+
+def _digits_value(digit: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Decimal value of columns ``lo:hi`` of a matrix of digit values."""
+    value = np.zeros(len(digit), dtype=np.int64)
+    for pos in range(lo, hi):
+        value = value * 10 + digit[:, pos]
+    return value
+
+
+def _iso_minutes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since 1970 of texts in canonical timestamp form, and their mask.
+
+    The mask holds the texts written exactly ``YYYY-MM-DDTHH:MM`` or
+    ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits that name a real instant, as
+    ``datetime.fromisoformat`` reads them; the value of any other is
+    meaningless. No sign, offset or fraction passes, whatever NumPy's own
+    datetime parser would accept.
+    """
+    lengths, codes = _lengths(texts), _code_points(texts, 19)
+    digit = codes - ord("0")  # uint32: a code point below '0' wraps past 9
+    is_digit = digit < 10
+    with_seconds = lengths == 19
+    ok = (lengths == 16) | with_seconds
+    for pos, char in ((4, "-"), (7, "-"), (10, "T"), (13, ":")):
+        ok &= codes[:, pos] == ord(char)
+    ok &= is_digit[:, [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]].all(axis=1)
+    ok &= ~with_seconds | ((codes[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18])
+    year, month, day = (_digits_value(digit, 0, 4), _digits_value(digit, 5, 7),
+                        _digits_value(digit, 8, 10))
+    hour, minute = _digits_value(digit, 11, 13), _digits_value(digit, 14, 16)
+    second = np.where(with_seconds, _digits_value(digit, 17, 19), 0)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (hour < 24) & (minute < 60) & (second < 60)
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
+    first_day = months.astype("M8[M]").astype("M8[D]").astype(np.int64)
+    month_days = (months + 1).astype("M8[M]").astype("M8[D]").astype(np.int64) - first_day
+    ok &= (day >= 1) & (day <= month_days)
+    days = first_day + day - 1
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, ok
+
+
+def _station_ids(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Value of each text of 1 to 18 ASCII digits (10**18 - 1 fits int64), and their mask."""
+    lengths = _lengths(texts)
+    ok = (lengths >= 1) & (lengths <= 18)
+    width = int(lengths[ok].max(initial=1))
+    codes = _code_points(texts, width)
+    digit = codes - ord("0")
+    inside = np.arange(width) < lengths[:, None]
+    ok &= ((digit < 10) | ~inside).all(axis=1)
+    value = np.zeros(len(texts), dtype=np.int64)
+    for pos in range(width):
+        value = np.where(inside[:, pos], value * 10 + digit[:, pos], value)
+    return value, ok
 
 
 def _nonempty(raw: str | None, name: str) -> str:
@@ -324,35 +600,37 @@ class StationSeries:
 
 
 def station_series(
-    trips: Iterable[TripRecord],
+    trips: Trips | Iterable[TripRecord],
     epochs: EpochSpec,
     n_stations: int,
 ) -> StationSeries:
     """Count tap-ins (trip starts) and tap-outs (trip ends) per station.
 
     Each endpoint is binned into its own epoch independently; endpoints
-    outside the epoch range or with station ids >= n_stations are dropped
-    and counted, never raised.
+    outside the epoch range or with station ids outside [0, n_stations) are
+    dropped and counted, never raised. Records other than a ``Trips`` table
+    are first gathered into one.
     """
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
-    tap_in = np.zeros((n_stations, epochs.n_epochs), dtype=np.int64)
-    tap_out = np.zeros((n_stations, epochs.n_epochs), dtype=np.int64)
-    dropped_in = dropped_out = 0
-    for trip in trips:
-        t_start = epochs.index_of(trip.start_time)
-        if t_start is None or trip.start_station >= n_stations:
-            dropped_in += 1
-        else:
-            tap_in[trip.start_station, t_start] += 1
-        t_end = epochs.index_of(trip.end_time)
-        if t_end is None or trip.end_station >= n_stations:
-            dropped_out += 1
-        else:
-            tap_out[trip.end_station, t_end] += 1
+    if not isinstance(trips, Trips):
+        trips = Trips.from_records(trips)
+    origin = np.datetime64(epochs.start, "us")
+    hour = np.timedelta64(EPOCH_SECONDS, "s")
+
+    def taps(times: np.ndarray, stations: np.ndarray) -> SeriesSet:
+        offset = times - origin
+        epoch = offset // hour
+        inside = (offset >= np.timedelta64(0)) & (epoch < epochs.n_epochs)
+        inside &= (stations >= 0) & (stations < n_stations)
+        cells = stations[inside].astype(np.int64) * epochs.n_epochs + epoch[inside]
+        counts = np.bincount(cells, minlength=n_stations * epochs.n_epochs)
+        dropped = len(times) - int(np.count_nonzero(inside))
+        return SeriesSet(counts.reshape(n_stations, epochs.n_epochs), epochs, dropped)
+
     return StationSeries(
-        tap_in=SeriesSet(tap_in, epochs, dropped_in),
-        tap_out=SeriesSet(tap_out, epochs, dropped_out),
+        tap_in=taps(trips.start_time, trips.start_station),
+        tap_out=taps(trips.end_time, trips.end_station),
     )
 
 

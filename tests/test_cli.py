@@ -148,6 +148,18 @@ class TestIngestCli:
         assert code == 1
         assert "n-stations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_station_count_is_checked_before_the_input_is_read(self, tmp_path, capsys, count):
+        code = main(
+            [
+                "--out", str(tmp_path / "out"),
+                "ingest", "--kind", "station", "--input", str(tmp_path / "absent.csv"),
+                "--start", "2016-02-01T00:00:00", "--epochs", "24", "--n-stations", count,
+            ]
+        )
+        assert code == 1
+        assert f"--n-stations must be at least 1, got {count}" in capsys.readouterr().err
+
     def test_grid_ingest_writes_cells_with_grid_sidecar(self, tmp_path):
         base_ts = 1_000_000_000
         start = datetime(2001, 9, 9, 1, 46, 40)  # base_ts read as UTC
@@ -560,6 +572,18 @@ class TestSimulateCli:
         code = main(["--out", str(out), "simulate", "--users", "4", "--group-size", "2"] + argv)
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+
+    def test_oversize_vector_exits_one_before_keys_or_plaintexts(self, tmp_path, capsys, monkeypatch):
+        def no_keys(*args):
+            raise AssertionError("keys were made for a round that cannot run")
+
+        monkeypatch.setattr(cli_mod, "setup_users", no_keys)
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "simulate", "--mode", "od", "--n-stations", "4100",
+                     "--users", "2", "--group-size", "2", "--rounds", "1"])
+        assert code == 1
+        assert "vector of 16810000 words exceeds the 16777216" in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
 
     def test_oracle_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):

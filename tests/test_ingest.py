@@ -103,6 +103,14 @@ class TestParseTrips:
         assert [r.card_id for r in result.records] == ["c2"]
         assert result.records[0].mode == "metro"
 
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        body = TRIP_HEADER + "c\u00e9,2016-02-01T08:00,3,2016-02-01T08:25,7\n"
+        path.write_bytes(("\ufeff" + body).encode("utf-8"))
+        result = parse_trips(path)
+        assert result.ok
+        assert [r.card_id for r in result.records] == ["c\u00e9"]
+
 
 class TestParseGps:
     def test_single_row(self):
@@ -114,6 +122,13 @@ class TestParseGps:
         result = parse_gps(io.StringIO("cab_id,lat,lon,unix_time\nv1,95.0,-122.42,1454313600\n"))
         assert not result.records
         assert "latitude" in result.errors[0].message
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "gps.csv"
+        path.write_bytes("\ufeffcab_id,lat,lon,unix_time\nv\u00e9,37.77,-122.42,1454313600\n".encode("utf-8"))
+        result = parse_gps(path)
+        assert result.ok
+        assert result.records == [GpsPoint("v\u00e9", 37.77, -122.42, 1454313600)]
 
 
 class TestCellOf:
@@ -185,6 +200,16 @@ class TestStationSeries:
         assert result.tap_in.counts.sum() == 1
         assert result.tap_out.counts.sum() == 2
         assert result.dropped == 3
+
+    def test_negative_station_is_dropped(self):
+        result = station_series([make_trip("c1", 10, -1, 20, 1)], self.epochs, n_stations=3)
+        assert result.tap_in.counts.sum() == 0 and result.tap_in.dropped == 1
+        assert result.tap_out.counts[1, 0] == 1
+
+    def test_offset_timestamps_are_refused(self):
+        t0 = datetime(2016, 2, 1, 8, tzinfo=timezone.utc)
+        with pytest.raises(ValueError, match="naive wall clock"):
+            station_series([TripRecord("c1", t0, 0, t0, 1)], self.epochs, n_stations=3)
 
     def test_matches_brute_force_recount(self):
         rng = random.Random(314)
