@@ -309,13 +309,18 @@ def parse_trips(
         _check_header(header, TRIP_FIELDS)
         tables, errors = [], []
         while True:
-            rows, lines = [], []
-            for row in islice(reader, _CHUNK_ROWS):
-                rows.append(row)
-                lines.append(reader.line_num)
+            rows, lines, unread = [], [], None
+            try:
+                for row in islice(reader, _CHUNK_ROWS):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+            except Exception as exc:  # raised after the rows before it, as a row-at-a-time read would
+                unread = exc
             table, chunk_errors = _trip_chunk(header, rows, lines, excluded, strict)
             tables.append(table)
             errors += chunk_errors
+            if unread is not None:
+                raise unread
             if len(rows) < _CHUNK_ROWS:
                 break
     finally:

@@ -289,7 +289,7 @@ class TestSimulateRound:
 
     @pytest.mark.parametrize("dims, length", [
         ({"mode": "od", "n_stations": 4097}, 4097 * 4097),
-        ({"mode": "station", "n_stations": 1 << 23 + 1}, 1 << 25),
+        ({"mode": "station", "n_stations": (1 << 23) + 1}, (1 << 24) + 2),
         ({"mode": "grid", "grid_rows": 4097, "grid_cols": 4096}, 4097 * 4096),
     ], ids=["od", "station", "grid"])
     def test_vector_past_the_round_limit_is_refused(self, dims, length):
@@ -297,8 +297,10 @@ class TestSimulateRound:
             SimConfig(n_users=5, group_size=2, threshold=2, **dims)
 
     def test_largest_vector_a_round_carries_is_accepted(self):
-        cfg = SimConfig(n_users=5, group_size=2, threshold=2, mode="od", n_stations=4096)
-        assert cfg.vector_length() == 1 << 24
+        for dims in ({"mode": "od", "n_stations": 4096}, {"mode": "station", "n_stations": 1 << 23},
+                     {"mode": "grid", "grid_rows": 4096, "grid_cols": 4096}):
+            cfg = SimConfig(n_users=5, group_size=2, threshold=2, **dims)
+            assert cfg.vector_length() == 1 << 24
         sketch = SimConfig(n_users=5, group_size=2, threshold=2, mode="sketch", n_stations=10**6)
         assert sketch.vector_length() < 1 << 24
 

@@ -11,6 +11,7 @@ import io
 from datetime import datetime, timedelta
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,3 +181,44 @@ def test_rows_past_a_chunk_keep_their_lines_and_order():
         station_series(new.records, EPOCHS, N_STATIONS).tap_out.counts,
         reference.station_series(old.records, EPOCHS, N_STATIONS).tap_out.counts,
     )
+
+
+def test_a_row_after_blank_lines_keeps_its_physical_line():
+    # csv.DictReader skips blank rows and numbers the row that follows by its own line
+    text = ",".join(TRIP_FIELDS) + "\n\n\nc1,later,1,2016-02-01T09:30,2\n"
+    assert [e.line for e in parse_trips(io.StringIO(text, newline="")).errors] == [4]
+    assert outcome(parse_trips, text, True, ())[:2] == ("failure", 4)
+    for strict in (False, True):
+        assert outcome(parse_trips, text, strict, ()) == outcome(reference.parse_trips, text, strict, ())
+
+
+BAD_ROW = "c1,later,1,2016-02-01T09:30,2\n"
+GOOD_ROW = "c{0},2016-02-01T08:00,1,2016-02-01T09:30,2\n"
+
+
+def test_a_bad_row_fails_strict_mode_before_a_later_unreadable_field():
+    oversize = "c2,2016-02-01T08:00,1,2016-02-01T09:30," + "9" * (csv.field_size_limit() + 1) + "\n"
+    text = ",".join(TRIP_FIELDS) + "\n" + BAD_ROW + GOOD_ROW.format(3) + oversize
+    expected = outcome(reference.parse_trips, text, True, ())
+    assert expected[:2] == ("failure", 2)
+    assert outcome(parse_trips, text, True, ()) == expected
+    for parse in (parse_trips, reference.parse_trips):
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse(io.StringIO(text, newline=""))
+
+
+def test_a_bad_row_fails_strict_mode_before_a_later_undecodable_byte(tmp_path):
+    # past the text layer's first 8 KiB decode, inside the first chunk of rows
+    path = tmp_path / "trips.csv"
+    rows = "".join(GOOD_ROW.format(i) for i in range(500))
+    path.write_bytes((",".join(TRIP_FIELDS) + "\n" + BAD_ROW + rows).encode() + b"c\xff,x\n")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        with pytest.raises(ParseFailure) as expected:
+            reference.parse_trips(fh, strict=True)
+    with pytest.raises(ParseFailure) as failure:
+        parse_trips(path, strict=True)
+    assert (failure.value.line, failure.value.reason) == (expected.value.line, expected.value.reason) == (
+        2, "start_time is not an ISO-8601 timestamp: 'later'"
+    )
+    with pytest.raises(UnicodeDecodeError):
+        parse_trips(path)
