@@ -10,7 +10,7 @@ from .reports import (
     write_forecast_report,
     write_model_dump,
 )
-from .rolling import RollingForecast, rolling_scan
+from .rolling import RollingForecast, assemble_scan, fit_day, rolling_scan, scan_windows
 from .var import CollinearInputs, VarModel, fit_var, forecast_var, lagged_design
 
 __all__ = [
@@ -22,17 +22,20 @@ __all__ = [
     "FitError",
     "RollingForecast",
     "VarModel",
+    "assemble_scan",
     "average_ranks",
     "correlated_rois",
     "css_innovations",
     "detect_anomalies",
     "enhanced_forecast",
     "fit_arma",
+    "fit_day",
     "fit_var",
     "forecast_var",
     "lagged_design",
     "rank_anomalies",
     "rolling_scan",
+    "scan_windows",
     "select_order",
     "spearman",
     "thresholds",

@@ -167,9 +167,34 @@ def _in_identifiable_region(ar: Sequence[float], ma: Sequence[float]) -> bool:
     coefficient of ``ar``, and of ``-ma``, must lie strictly inside (-1, 1).
     Without this restriction the simplex search can settle on coefficient
     vectors whose in-sample innovations look small but whose forecasts
-    explode.
+    explode. For the orders the analytics fit (p <= 3, q <= 2) the test is
+    ``_reflections_inside`` unrolled: the same float operations, no list.
     """
-    return _reflections_inside(list(ar)) and _reflections_inside([-t for t in ma])
+    p, q = len(ar), len(ma)
+    if p > 3 or q > 2:
+        return _reflections_inside(list(ar)) and _reflections_inside([-t for t in ma])
+    if p == 3:
+        a = ar[2]
+        if not abs(a) < 1.0:
+            return False
+        scale = 1.0 - a * a
+        phi1, phi2 = (ar[0] + a * ar[1]) / scale, (ar[1] + a * ar[0]) / scale
+    elif p:
+        phi1, phi2 = ar[0], ar[-1]
+    if p > 1:
+        if not abs(phi2) < 1.0:
+            return False
+        phi1 = (phi1 + phi2 * phi1) / (1.0 - phi2 * phi2)
+    if p and not abs(phi1) < 1.0:
+        return False
+    if q == 2:
+        a, theta = -ma[1], -ma[0]
+        if not abs(a) < 1.0:
+            return False
+        theta = (theta + a * theta) / (1.0 - a * a)
+    elif q:
+        theta = ma[0]
+    return not q or bool(abs(theta) < 1.0)
 
 
 def _ols_ar(y: np.ndarray, p: int) -> tuple[float, np.ndarray]:
@@ -358,6 +383,28 @@ def fit_arma(series: Sequence[float] | np.ndarray, p: int, q: int) -> ArmaModel:
     return model
 
 
+def _select_model(y: np.ndarray, max_p: int = 3, max_q: int = 2) -> tuple[Tuple[int, int], ArmaModel]:
+    """``select_order``'s rule on a float64 series: the winning orders and their fit."""
+    _validate_series(y, 0, 0)
+    best: tuple[tuple[float, int, int], Tuple[int, int], ArmaModel] | None = None
+    last_error: Exception | None = None
+    for p in range(max_p + 1):
+        for q in range(max_q + 1):
+            if 10 * (p + q + 1) > y.size:
+                continue
+            try:
+                model = fit_arma(y, p, q)
+            except (FitError, ValueError, np.linalg.LinAlgError) as exc:
+                last_error = exc
+                continue
+            key = (model.aic, p + q, p)
+            if best is None or key < best[0]:
+                best = key, (p, q), model
+    if best is None:
+        raise FitError(f"no ARMA order could be fitted: {last_error}")
+    return best[1:]
+
+
 def select_order(
     series: Sequence[float] | np.ndarray,
     max_p: int = 3,
@@ -374,25 +421,4 @@ def select_order(
     """
     if max_p < 0 or max_q < 0:
         raise ValueError("orders must be non-negative")
-    y = np.asarray(series, dtype=np.float64)
-    _validate_series(y, 0, 0)
-    best_key: tuple[float, int, int] | None = None
-    best_orders: Tuple[int, int] = (0, 0)
-    last_error: Exception | None = None
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            if 10 * (p + q + 1) > y.size:
-                continue
-            try:
-                model = fit_arma(y, p, q)
-            except (FitError, ValueError, np.linalg.LinAlgError) as exc:
-                last_error = exc
-                continue
-            key = (model.aic, p + q, p)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_orders = (p, q)
-    if best_key is None:
-        raise FitError(f"no ARMA order could be fitted: {last_error}")
-    return best_orders
-
+    return _select_model(np.asarray(series, dtype=np.float64), max_p, max_q)[0]

@@ -14,7 +14,7 @@ taken out of a longer scan (``RollingForecast.days``) unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,72 @@ class RollingForecast:
         )
 
 
+def scan_windows(series: RoiTimeSeries, profile: SeasonalProfile | None, start_day: int,
+                 n_days: int, orders: Tuple[int, int], train_days: int = 5) -> list[np.ndarray]:
+    """Each scanned day's training window; ``ValueError`` for a scan ``rolling_scan`` refuses."""
+    epd = EPOCHS_PER_DAY
+    if train_days < 1 or n_days < 1:
+        raise ValueError("train_days and n_days must be >= 1")
+    if start_day < train_days:
+        raise ValueError(
+            f"day {start_day} has only {start_day} days of history, need {train_days}"
+        )
+    scan_end = (start_day + n_days) * epd
+    if scan_end > len(series):
+        raise ValueError(f"scan ends at epoch {scan_end}, series has {len(series)}")
+    d = series.values if profile is None else deseasonalize(series, profile).values
+    p, q = orders
+    # checked here: fit_day takes fit_arma's ValueError for a failed fit
+    if p < 0 or q < 0 or 10 * (p + q + 1) > train_days * epd:
+        raise ValueError(f"ARMA({p},{q}) cannot fit a {train_days * epd}-slot training window")
+    return [d[(day - train_days) * epd : day * epd] for day in range(start_day, start_day + n_days)]
+
+
+def fit_day(window: np.ndarray, orders: Tuple[int, int]) -> ArmaModel | None:
+    """One scanned day's fit on its training window; None where the fit fails."""
+    try:
+        return fit_arma(window, *orders)
+    except (FitError, ValueError, np.linalg.LinAlgError):
+        return None
+
+
+def assemble_scan(series: RoiTimeSeries, profile: SeasonalProfile | None, start_day: int,
+                  orders: Tuple[int, int], models: Sequence[ArmaModel | None],
+                  train_days: int = 5) -> RollingForecast:
+    """The scan of days ``start_day`` on, from ``fit_day``'s model for each day.
+
+    A failed fit (None) falls back to the seasonal mean (zero de-seasonalized,
+    the window mean raw), and its slots are flagged."""
+    epd = EPOCHS_PER_DAY
+    d = series.values if profile is None else deseasonalize(series, profile).values
+    d_hat = np.empty((len(models), epd))
+    fallback: list[int] = []
+    for k, model in enumerate(models):
+        w0, w1 = (start_day + k - train_days) * epd, (start_day + k) * epd
+        if model is None:
+            d_hat[k] = 0.0 if profile is not None else float(d[w0:w1].mean())
+            fallback.extend(range(w1, w1 + epd))
+        else:
+            eps = css_innovations(d[w0 : w1 + epd], model.const, model.ar, model.ma)
+            d_hat[k] = d[w1 : w1 + epd] - eps[-epd:]
+
+    idx = np.arange(start_day * epd, (start_day + len(models)) * epd)
+    actuals = series.values[idx]
+    d_hat = d_hat.ravel()
+    preds = d_hat + (series.values - d)[idx]
+    return RollingForecast(
+        roi_id=series.roi_id,
+        epoch_indices=idx,
+        actuals=actuals,
+        predictions=preds,
+        residuals=d[idx] - d_hat,
+        errors=forecast_errors(actuals, preds),
+        orders=tuple(orders),
+        fallback_epochs=tuple(fallback),
+        models=tuple(models),
+    )
+
+
 def rolling_scan(
     series: RoiTimeSeries,
     profile: SeasonalProfile | None,
@@ -83,62 +149,10 @@ def rolling_scan(
 
     With a profile the model runs on de-seasonalized values and predictions
     are re-seasonalized; without one it runs on the raw series (the black-box
-    baseline). Every day is fitted at ``orders``; orders no training window
-    can fit raise ``ValueError``. A day whose fit fails falls back to the
-    seasonal mean (zero in de-seasonalized space, the window mean in raw
-    space) and its slots are flagged rather than raised.
+    baseline). Every day is fitted at ``orders`` (``fit_day``); orders no
+    training window can fit raise ``ValueError``. A day whose fit fails falls
+    back to the seasonal mean, see ``assemble_scan``.
     """
-    epd = EPOCHS_PER_DAY
-    if train_days < 1 or n_days < 1:
-        raise ValueError("train_days and n_days must be >= 1")
-    if start_day < train_days:
-        raise ValueError(
-            f"day {start_day} has only {start_day} days of history, need {train_days}"
-        )
-    scan_end = (start_day + n_days) * epd
-    if scan_end > len(series):
-        raise ValueError(f"scan ends at epoch {scan_end}, series has {len(series)}")
-
-    if profile is not None:
-        d = deseasonalize(series, profile).values
-    else:
-        d = series.values
-    seasonal = series.values - d
-
-    p, q = orders
-    # checked once: the day loop below takes fit_arma's ValueError for a failed fit
-    if p < 0 or q < 0 or 10 * (p + q + 1) > train_days * epd:
-        raise ValueError(f"ARMA({p},{q}) cannot fit a {train_days * epd}-slot training window")
-
-    d_hat = np.empty((n_days, epd))
-    fallback: list[int] = []
-    models: list[ArmaModel | None] = []
-    for k, day in enumerate(range(start_day, start_day + n_days)):
-        w0, w1 = (day - train_days) * epd, day * epd
-        try:
-            model = fit_arma(d[w0:w1], p, q)
-        except (FitError, ValueError, np.linalg.LinAlgError):
-            model = None
-        models.append(model)
-        if model is None:
-            d_hat[k] = 0.0 if profile is not None else float(d[w0:w1].mean())
-            fallback.extend(range(w1, w1 + epd))
-        else:
-            eps = css_innovations(d[w0 : w1 + epd], model.const, model.ar, model.ma)
-            d_hat[k] = d[w1 : w1 + epd] - eps[-epd:]
-
-    idx = np.arange(start_day * epd, scan_end)
-    actuals = series.values[idx]
-    d_hat = d_hat.ravel()
-    preds = d_hat + seasonal[idx]
-    return RollingForecast(
-        roi_id=series.roi_id,
-        epoch_indices=idx,
-        actuals=actuals,
-        predictions=preds,
-        residuals=d[idx] - d_hat,
-        errors=forecast_errors(actuals, preds),
-        orders=(p, q),
-        fallback_epochs=tuple(fallback),
-        models=tuple(models),
-    )
+    windows = scan_windows(series, profile, start_day, n_days, orders, train_days)
+    models = [fit_day(window, orders) for window in windows]
+    return assemble_scan(series, profile, start_day, orders, models, train_days)

@@ -203,7 +203,6 @@ def cmd_enhance(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.rounds < 1:
         raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
-    out = _out_dir(args)
     config = SimConfig(
         n_users=args.users,
         group_size=args.group_size,
@@ -217,6 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sketch_delta=args.delta,
         seed=args.seed,
     )
+    out = _out_dir(args)  # after the config, so a refused run leaves no directory
     rng = random.Random(args.seed)
     keys = setup_users(config.n_users, rng)
     transport = (

@@ -13,9 +13,8 @@ the analytics use. The forecast functions the analytics call
 ``_analytics()`` at the top of each analytics entry point, or on first
 attribute access through the module ``__getattr__``. They are globals, not
 local imports, because callers look them up here: the benchmark's tracer
-wraps them on this module, and tests replace ``rolling_scan`` on it.
-``analyze_rois`` binds them before it forks, so the workers inherit SciPy
-instead of each importing it again.
+wraps them on this module. ``analyze_rois`` binds them before it forks, so
+the workers inherit SciPy instead of each importing it again.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -49,11 +48,15 @@ if TYPE_CHECKING:
     from ..forecast import AnomalyEvent, EnhancedForecast, RollingForecast
 
 _ANALYTICS = (
+    "_select_model",   # forecast.arma's; the others are mobagg.forecast's
+    "assemble_scan",
     "correlated_rois",
     "detect_anomalies",
     "enhanced_forecast",
+    "fit_day",
     "rank_anomalies",
     "rolling_scan",
+    "scan_windows",
     "select_order",
     "write_anomaly_report",
     "write_enhancement_report",
@@ -72,7 +75,7 @@ def _analytics() -> None:
     from .. import forecast
 
     for name in _ANALYTICS:
-        globals().setdefault(name, getattr(forecast, name))
+        globals().setdefault(name, getattr(forecast.arma if name[0] == "_" else forecast, name))
 
 
 def __getattr__(name: str):
@@ -184,8 +187,8 @@ class RoiAnalysis:
 
     ``scan`` runs from the first calibration day through the last scanned
     day; (mu, sigma) come from its calibration slots, ``events`` from the rest.
-    ``seconds`` is the wall time of the ``analyze_roi`` call that built it,
-    measured in the process that ran it.
+    ``seconds`` sums the wall times of the ROI's fit tasks, its order
+    selection and its day fits, each measured in the process that ran it.
     """
 
     deseasonalized: RoiTimeSeries
@@ -227,35 +230,83 @@ def analyze_roi(
     error scale (fitted parameters absorb part of it, and so does an
     estimated seasonal profile), which makes a 3-sigma band fire far too
     often. Orders default to ``aic_orders`` at ``start_day`` and stay frozen
-    for every day of the one rolling scan. Reads nothing but its arguments,
-    so ``analyze_rois`` can run it in a worker process; ``seconds`` on the
-    result times this call there.
+    for every day of the one rolling scan.
     """
-    _analytics()
+    return analyze_rois([series], start_day, n_days, train_days, calibration_days, orders)[0]
+
+
+def _run(fn: Callable, *args: object) -> Future:
+    """The in-process path's ``submit``: run the task now, return it finished."""
+    task: Future = Future()
+    try:
+        task.set_result(fn(*args))
+    except Exception as exc:
+        task.set_exception(exc)
+    return task
+
+
+def _timed(fn: Callable, *args: object) -> tuple[object, float]:
+    """``fn(*args)`` and its seconds, measured in the process that ran it."""
     t0 = time.perf_counter()
-    _check_scan_window(start_day, train_days, calibration_days)
-    if n_days < 1:
-        raise ValueError("the anomaly scan needs at least one day")
-    profile = seasonal_profile(series)
-    deseasonalized = deseasonalize(series, profile)
-    if orders is None:
-        orders = aic_orders(deseasonalized.values, start_day, train_days)
-    scan = rolling_scan(
-        series, profile, start_day - calibration_days, calibration_days + n_days,
-        orders, train_days=train_days,
-    )
+    return fn(*args), time.perf_counter() - t0
+
+
+def _scan_rois(submit: Callable[..., Future], series: Sequence[RoiTimeSeries], start_day: int,
+               n_days: int, train_days: int, calibration_days: int,
+               orders: tuple[int, int] | None) -> list[RoiAnalysis]:
+    """``analyze_roi`` over every series, each fit a task handed to ``submit``.
+
+    A task, a ROI's order selection or one day's fit, carries only its window
+    and orders. Day fits follow their ROI's selection, whose winner serves the
+    day it trained for. The failed task of lowest (ROI, day) raises, selection first.
+    """
+    first, end = start_day - calibration_days, start_day + n_days
+    prepared = []
+    for s in series:
+        profile = seasonal_profile(s)
+        # selected orders always fit the window: only given ones need the check
+        windows = scan_windows(s, profile, first, end - first, orders or (0, 0), train_days)
+        prepared.append((deseasonalize(s, profile), profile, windows))
+    tasks: dict[tuple[int, int], Future] = {}   # (ROI, day) -> its fit; day -1: the selection
+
+    def submit_days(r: int, fitted: tuple[int, int]) -> None:
+        for day, window in enumerate(prepared[r][2], first):
+            if orders is not None or day != start_day:
+                tasks[r, day] = submit(_timed, fit_day, window, fitted)
+
+    for r, (_, _, windows) in enumerate(prepared):
+        if orders is None:
+            tasks[r, -1] = submit(_timed, _select_model, windows[start_day - first])
+        else:
+            submit_days(r, orders)
+    selections = {tasks[r, -1]: r for r in range(len(series)) if orders is None}
+    for task in as_completed(selections):   # days queue behind the other selections
+        if task.exception() is None:
+            submit_days(selections[task], task.result()[0][0])
+    results = {key: task.result() for key, task in sorted(tasks.items())}
+
+    analyses = []
     split = calibration_days * EPOCHS_PER_DAY
-    calibration = scan.residuals[:split]
-    mu, sigma = float(calibration.mean()), float(calibration.std())
-    events: tuple[AnomalyEvent, ...] = ()
-    if np.isfinite(sigma) and sigma > 0:
-        events = tuple(
-            detect_anomalies(
-                scan.residuals[split:], mu, sigma,
-                roi_id=series.roi_id, epoch_offset=int(scan.epoch_indices[split]),
+    for r, s in enumerate(series):
+        deseasonalized, profile, _ = prepared[r]
+        fitted, seconds = orders, 0.0
+        if orders is None:
+            (fitted, winner), seconds = results[r, -1]
+            results[r, start_day] = winner, 0.0
+        models, times = zip(*(results[r, day] for day in range(first, end)))
+        scan = assemble_scan(s, profile, first, fitted, models, train_days)
+        calibration = scan.residuals[:split]
+        mu, sigma = float(calibration.mean()), float(calibration.std())
+        events: tuple[AnomalyEvent, ...] = ()
+        if np.isfinite(sigma) and sigma > 0:
+            events = tuple(
+                detect_anomalies(
+                    scan.residuals[split:], mu, sigma,
+                    roi_id=s.roi_id, epoch_offset=int(scan.epoch_indices[split]),
+                )
             )
-        )
-    return RoiAnalysis(deseasonalized, scan, mu, sigma, events, time.perf_counter() - t0)
+        analyses.append(RoiAnalysis(deseasonalized, scan, mu, sigma, events, seconds + sum(times)))
+    return analyses
 
 
 def _worker_count(n_rois: int) -> int:
@@ -280,28 +331,24 @@ def analyze_rois(
     calibration_days: int = 7,
     orders: tuple[int, int] | None = None,
 ) -> list[RoiAnalysis]:
-    """``analyze_roi`` over every series, in order, one worker per CPU.
+    """``analyze_roi`` over every series, in order, its fits spread over the CPUs.
 
-    ROIs are independent, so forked workers each take whole ROIs and every
-    fit stays bit for bit what the in-process loop computes. The pool lives
-    for this call only. Where ``_worker_count`` gives one worker, the same
-    map runs in-process. A worker's exception reaches the caller with its
-    type and message.
+    Forked workers take fit tasks, not whole ROIs (``_scan_rois``): the dear
+    selections start first and the short day fits fill in behind them. Every
+    fit is bit for bit the in-process one. The pool lives for this call only;
+    where ``_worker_count`` gives one worker, the tasks run in-process.
     """
     _analytics()
     _check_scan_window(start_day, train_days, calibration_days)
     if n_days < 1:
         raise ValueError("the anomaly scan needs at least one day")
-    analyze = partial(
-        analyze_roi, start_day=start_day, n_days=n_days,
-        train_days=train_days, calibration_days=calibration_days, orders=orders,
-    )
+    scan = partial(_scan_rois, series=series, start_day=start_day, n_days=n_days,
+                   train_days=train_days, calibration_days=calibration_days, orders=orders)
     workers = _worker_count(len(series))
     if workers <= 1:
-        return [analyze(s) for s in series]
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(analyze, series))
+        return scan(_run)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return scan(pool.submit)
 
 
 def enhance_roi(
@@ -337,8 +384,8 @@ def analyze_aggregates(
 ) -> PipelineResult:
     """Analyze every ROI, rank, and enhance; emits the three report CSVs.
 
-    The per-ROI scans run through ``analyze_rois``, one worker process per
-    available CPU; the reports are byte-identical to an in-process run.
+    The per-ROI scans run through ``analyze_rois``, their fits spread over
+    the CPUs; the reports are byte-identical to an in-process run.
     """
     _analytics()
     out = Path(out_dir)

@@ -1,5 +1,6 @@
 """ARMA estimation, order selection, and one-step forecasts."""
 
+import itertools
 import json
 import math
 import os
@@ -150,6 +151,54 @@ class TestIdentifiableRegion:
     ])
     def test_hand_cases(self, ar, ma, inside):
         assert arma_mod._in_identifiable_region(np.array(ar), np.array(ma)) is inside
+
+
+def step_down_region(ar, ma):
+    """The general step-down loop, for any orders."""
+    return arma_mod._reflections_inside(list(ar)) and arma_mod._reflections_inside([-t for t in ma])
+
+
+EDGE_COEFFICIENTS = (1.0, -1.0, 1.0 + 1e-12, 1.0 - 1e-12, -1.0 + 1e-12, math.nan, 0.0)
+
+
+class TestUnrolledRegion:
+    """For p <= 3 and q <= 2 the unrolled test decides as the general loop does."""
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(3))
+    def test_random_vectors_match_loop_and_roots(self, p, q):
+        rng = np.random.default_rng([p, q])
+        for _ in range(2000):
+            ar = rng.uniform(-2.0, 2.0, p) * rng.uniform(0.0, 1.0)
+            ma = rng.uniform(-2.0, 2.0, q) * rng.uniform(0.0, 1.0)
+            inside = arma_mod._in_identifiable_region(ar.tolist(), ma.tolist())
+            assert inside is step_down_region(ar.tolist(), ma.tolist())
+            assert inside is arma_mod._in_identifiable_region(ar, ma)
+            assert inside == reference_region(ar, ma)
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(3))
+    def test_edge_coefficients_match_loop(self, p, q):
+        for coef in itertools.product(EDGE_COEFFICIENTS, repeat=p + q):
+            ar, ma = list(coef[:p]), list(coef[p:])
+            inside = arma_mod._in_identifiable_region(ar, ma)
+            assert inside is step_down_region(ar, ma), (ar, ma)
+            assert inside is arma_mod._in_identifiable_region(np.array(ar), np.array(ma))
+
+    @pytest.mark.parametrize("ar, ma, inside", [
+        ([], [], True),
+        ([0.0, 0.0, 1.0], [], False),
+        ([0.0, 0.0, 1.0 - 1e-12], [], True),
+        ([0.0, 0.0, 1.0 + 1e-12], [], False),
+        ([], [0.0, -1.0], False),
+        ([], [0.0, 1.0 - 1e-12], True),
+        ([0.5, math.nan], [], False),
+        ([], [math.nan], False),
+        ([0.5, -0.3, 0.1], [0.4, 0.2], True),
+    ])
+    def test_hand_cases(self, ar, ma, inside):
+        assert arma_mod._in_identifiable_region(ar, ma) is inside
+        assert step_down_region(ar, ma) is inside
 
 
 class TestFitArma:

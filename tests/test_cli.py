@@ -586,6 +586,17 @@ class TestSimulateCli:
         assert "vector of 16810000 words exceeds the 16777216" in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "od", "--n-stations", "4100"],
+        ["--n-stations", "-3"],
+    ], ids=["oversize-vector", "negative-stations"])
+    def test_refused_run_creates_no_out_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "simulate", "--users", "2", "--group-size", "2"] + argv)
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise OracleMismatch("plaintext sums diverged")

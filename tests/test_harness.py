@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mobagg.forecast.arma as arma_mod
 import mobagg.forecast.rolling as rolling_mod
 import mobagg.harness.pipeline as pipeline_mod
 import mobagg.harness.simulate as sim_mod
@@ -919,19 +920,24 @@ class TestAnalyzeRois:
             assert pooled[key].read_bytes() == local[key].read_bytes()
 
     def test_worker_error_reaches_the_caller(self, counts, tmp_path, monkeypatch):
-        scan = pipeline_mod.rolling_scan
+        # fork hands the patched fit_arma to the workers; an error that is
+        # not a failed fit is raised, not taken as a fallback day
+        series = counts.series(1)
+        d = deseasonalize(series, seasonal_profile(series)).values
+        failing = d[(14 - 5) * 24 : 14 * 24]  # training window of scan day 14
+        fit = rolling_mod.fit_arma
 
-        def broken(series, *args, **kwargs):
-            if series.roi_id == 1:
-                raise ValueError(f"roi 1 failed in process {os.getpid()}")
-            return scan(series, *args, **kwargs)
+        def broken(window, p, q):
+            if np.array_equal(window, failing):
+                raise ArithmeticError(f"roi 1 failed in process {os.getpid()}")
+            return fit(window, p, q)
 
-        monkeypatch.setattr(pipeline_mod, "rolling_scan", broken)
+        monkeypatch.setattr(rolling_mod, "fit_arma", broken)
         monkeypatch.setattr(pipeline_mod, "_worker_count", two_workers)
         config = PipelineConfig(sim=SIM, arma_orders=(1, 0))
-        with pytest.raises(ValueError, match="roi 1 failed in process") as info:
+        with pytest.raises(ArithmeticError, match="roi 1 failed in process") as info:
             analyze_aggregates(counts, config, tmp_path)
-        assert type(info.value) is ValueError
+        assert type(info.value) is ArithmeticError
         assert int(str(info.value).split()[-1]) != os.getpid()
 
     def test_fit_failures_fall_back_through_the_pool(self, counts, monkeypatch):
@@ -1012,3 +1018,104 @@ except Forked as fork:
             release.set()
             other.join(timeout=30)
         assert not other.is_alive()
+
+
+def assert_same_fits(pooled, local):
+    """Orders, coefficients, evaluations, fallback days and events, ROI by ROI."""
+    for a, b in zip(pooled, local, strict=True):
+        assert a.scan.orders == b.scan.orders
+        assert a.scan.fallback_epochs == b.scan.fallback_epochs
+        assert a.events == b.events
+        for x, y in zip(a.scan.models, b.scan.models, strict=True):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert (x.p, x.q, x.const, x.nfev) == (y.p, y.q, y.const, y.nfev)
+                assert np.array_equal(x.ar, y.ar) and np.array_equal(x.ma, y.ma)
+
+
+class TestFitTasks:
+    """Fit tasks on a pool give every fit, fallback and error of the in-process path."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        counts = spiked_counts()
+        return [counts.series(r) for r in range(counts.n_rois)]
+
+    @staticmethod
+    def both_paths(monkeypatch, run):
+        outcomes = []
+        for workers in (two_workers, one_worker):
+            monkeypatch.setattr(pipeline_mod, "_worker_count", workers)
+            outcomes.append(run())
+        return outcomes
+
+    @staticmethod
+    def window(series, day, train_days=5):
+        d = deseasonalize(series, seasonal_profile(series)).values
+        return d[(day - train_days) * 24 : day * 24]
+
+    @pytest.mark.parametrize("orders", [None, (2, 1)], ids=["selected", "given"])
+    def test_every_fit_is_identical(self, series, monkeypatch, orders):
+        pooled, local = self.both_paths(
+            monkeypatch, lambda: analyze_rois(series, 12, 9, orders=orders))
+        assert_same_fits(pooled, local)
+        assert not any(a.scan.fallback_epochs for a in pooled)
+        assert any(a.events for a in pooled)
+        if orders is not None:
+            assert {a.scan.orders for a in pooled} == {orders}
+
+    def test_selection_winner_serves_its_own_day(self, series, monkeypatch):
+        # scan days 5..20; day 12 trains on the selection window and is not refitted
+        calls = []
+        fit = rolling_mod.fit_arma
+
+        def counting(window, p, q):
+            calls.append((p, q))
+            return fit(window, p, q)
+
+        monkeypatch.setattr(rolling_mod, "fit_arma", counting)
+        monkeypatch.setattr(pipeline_mod, "_worker_count", one_worker)
+        (analysis,) = analyze_rois(series[:1], 12, 9)
+        assert len(calls) == 16 - 1
+        winner = analysis.scan.models[12 - 5]
+        assert (winner.p, winner.q) == analysis.scan.orders == select_order(
+            self.window(series[0], 12))
+        refit = fit(self.window(series[0], 12), winner.p, winner.q)
+        assert (refit.const, refit.nfev) == (winner.const, winner.nfev)
+        assert np.array_equal(refit.ar, winner.ar) and np.array_equal(refit.ma, winner.ma)
+
+    def test_failed_day_fit_is_the_same_fallback_day(self, series, monkeypatch):
+        failing = self.window(series[1], 15)
+        fit = rolling_mod.fit_arma
+
+        def flaky(window, p, q):
+            if np.array_equal(window, failing):
+                raise FitError("forced")
+            return fit(window, p, q)
+
+        monkeypatch.setattr(rolling_mod, "fit_arma", flaky)
+        pooled, local = self.both_paths(monkeypatch, lambda: analyze_rois(series, 12, 9))
+        assert_same_fits(pooled, local)
+        assert [a.scan.fallback_epochs for a in pooled] == [(), tuple(range(15 * 24, 16 * 24)), ()]
+        assert pooled[1].scan.models[15 - 5] is None
+
+    def test_failed_selection_raises_the_same_error(self, series, monkeypatch):
+        # ROIs 1 and 2 fail their selection; the lower ROI's error is raised
+        failing = {1: self.window(series[1], 12), 2: self.window(series[2], 12)}
+        fit = arma_mod.fit_arma
+
+        def broken(window, p, q):
+            for roi, w in failing.items():
+                if np.array_equal(window, w):
+                    raise FitError(f"roi {roi} cannot be fitted")
+            return fit(window, p, q)
+
+        monkeypatch.setattr(arma_mod, "fit_arma", broken)
+
+        def run():
+            with pytest.raises(FitError) as info:
+                analyze_rois(series, 12, 9)
+            return type(info.value), str(info.value)
+
+        pooled, local = self.both_paths(monkeypatch, run)
+        assert pooled == local == (FitError, "no ARMA order could be fitted: roi 1 cannot be fitted")
