@@ -9,14 +9,13 @@ file bins the same on every host. Row parsing is lenient by default: bad rows
 are collected with their line numbers instead of aborting the file. A file
 named by path is read as UTF-8, with or without a leading byte-order mark.
 
-Trips are parsed as columns into a ``Trips`` table. A row in canonical form
-is converted with array operations: it has the header's field count, a
-non-blank card id, timestamps written exactly ``YYYY-MM-DDTHH:MM`` or
-``YYYY-MM-DDTHH:MM:SS`` in ASCII digits that name a real instant, stations of
-1 to 18 ASCII digits, an end no earlier than its start and a mode that is not
-excluded. Every other row takes the per-row path, in file order, through the
-same checks that build a ``TripRecord`` one row at a time, so both paths
-accept the same rows and report the same errors at the same lines.
+Trips are parsed as columns into a ``Trips`` table, and the canonical form is
+the whole trip grammar: a row has the header's field count, a non-blank card
+id, timestamps written exactly ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DDTHH:MM:SS``
+in ASCII digits that name a real instant, stations of 1 to 18 ASCII digits
+and an end no earlier than its start. A blank row and a row whose mode is
+excluded yield nothing; any other row outside the form is a bad row whose
+reason names the first check it fails.
 """
 
 from __future__ import annotations
@@ -80,9 +79,7 @@ class TripRecord:
 class Trips:
     """Trips as columns, in file order; indexing and iteration yield ``TripRecord`` rows.
 
-    Times are naive ``datetime64[us]``. Station columns are ``int64``; one
-    that holds an id past int64, which the per-row path accepts and no
-    station grid reaches, is an object column of Python ints.
+    Times are naive ``datetime64[us]`` and station ids ``int64``.
     """
 
     card_id: tuple[str, ...]
@@ -95,22 +92,6 @@ class Trips:
     def __post_init__(self) -> None:
         for name in ("start_time", "start_station", "end_time", "end_station"):
             getattr(self, name).flags.writeable = False
-
-    @classmethod
-    def from_records(cls, records: Iterable[TripRecord]) -> "Trips":
-        rows = list(records)
-        starts = [r.start_time for r in rows]
-        ends = [r.end_time for r in rows]
-        if any(ts.tzinfo is not None for ts in starts + ends):
-            raise ValueError("trip timestamps must be naive wall clock")
-        return cls(
-            card_id=tuple(r.card_id for r in rows),
-            start_time=np.array(starts, dtype="M8[us]"),
-            start_station=_ids([r.start_station for r in rows]),
-            end_time=np.array(ends, dtype="M8[us]"),
-            end_station=_ids([r.end_station for r in rows]),
-            mode=tuple(r.mode for r in rows),
-        )
 
     def __len__(self) -> int:
         return len(self.card_id)
@@ -127,13 +108,6 @@ class Trips:
 
     def __iter__(self) -> Iterator[TripRecord]:
         return map(self.__getitem__, range(len(self)))
-
-
-def _ids(values: Sequence[int]) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -237,55 +211,32 @@ def _check_header(fieldnames: Sequence[str] | None, required: Sequence[str]) -> 
         raise ParseFailure(1, f"missing columns: {', '.join(missing)}")
 
 
-def _build_rows(numbered, build, strict):
-    """Apply ``build`` to each ``(line, row)`` in order.
-
-    A row that ``build`` refuses is a ``RowError`` (in strict mode, the first
-    one raises ``ParseFailure``) and a row it returns None for is skipped.
-    Returns the ``(position, record)`` pairs of the rows built, position
-    counting the rows of ``numbered``, and the errors.
-    """
-    built, errors = [], []
-    for position, (line, row) in enumerate(numbered):
-        try:
-            rec = build(row)
-        except (ValueError, KeyError, TypeError) as exc:
-            if strict:
-                raise ParseFailure(line, str(exc)) from exc
-            errors.append(RowError(line, str(exc)))
-            continue
-        if rec is not None:
-            built.append((position, rec))
-    return built, errors
-
-
-def _parse_rows(source, required, build, strict):
-    stream, owned = _reader(source)
-    try:
-        reader = csv.DictReader(stream)
-        _check_header(reader.fieldnames, required)
-        built, errors = _build_rows(((reader.line_num, row) for row in reader), build, strict)
-        return ParseResult([rec for _, rec in built], errors)
-    finally:
-        if owned:
-            stream.close()
-
-
 def parse_gps(
     source: str | Path | IO[str] | Iterable[str],
     strict: bool = False,
 ) -> ParseResult:
-    """Parse a GPS CSV (cab_id,lat,lon,unix_time)."""
-
-    def build(row):
-        return GpsPoint(
-            cab_id=_nonempty(row["cab_id"], "cab_id"),
-            latitude=_number(row["lat"], "lat"),
-            longitude=_number(row["lon"], "lon"),
-            timestamp=_intval(row["unix_time"], "unix_time"),
-        )
-
-    return _parse_rows(source, GPS_FIELDS, build, strict)
+    """Parse a GPS CSV (cab_id,lat,lon,unix_time) one ``csv.DictReader`` row at a time."""
+    stream, owned = _reader(source)
+    try:
+        reader = csv.DictReader(stream)
+        _check_header(reader.fieldnames, GPS_FIELDS)
+        result = ParseResult([])
+        for row in reader:
+            try:
+                result.records.append(GpsPoint(
+                    cab_id=_nonempty(row["cab_id"], "cab_id"),
+                    latitude=_number(row["lat"], "lat"),
+                    longitude=_number(row["lon"], "lon"),
+                    timestamp=_intval(row["unix_time"], "unix_time"),
+                ))
+            except (ValueError, KeyError, TypeError) as exc:
+                if strict:
+                    raise ParseFailure(reader.line_num, str(exc)) from exc
+                result.errors.append(RowError(reader.line_num, str(exc)))
+        return result
+    finally:
+        if owned:
+            stream.close()
 
 
 def parse_trips(
@@ -295,11 +246,12 @@ def parse_trips(
 ) -> ParseResult:
     """Parse a trip CSV (card_id,start_time,start_station,end_time,end_station).
 
-    A ``mode`` column is honored when present; rows whose mode appears in
-    ``exclude_modes`` are silently skipped (not errors). Rows in canonical
-    form (see the module docstring) are converted as columns and every other
-    row one at a time; ``records`` is a ``Trips`` table in file order, and a
-    row's line is the physical line it ends on, as ``csv.DictReader`` counts.
+    A ``mode`` column is honored when present; rows of the header's field
+    count whose mode appears in ``exclude_modes`` are silently skipped (not
+    errors), as blank rows are. Every other row outside the canonical form
+    (see the module docstring) is a row error; ``records`` is a ``Trips``
+    table in file order, and a row's line is the physical line it ends on,
+    as ``csv.DictReader`` counts.
     """
     excluded = {m.strip().lower() for m in exclude_modes}
     stream, owned = _reader(source)
@@ -336,91 +288,36 @@ def parse_trips(
 _CHUNK_ROWS = 2048
 
 
+#: The forms a row error names for a bad timestamp and a bad station id.
+_TIME_FORM = "a timestamp YYYY-MM-DDTHH:MM[:SS]"
+_STATION_FORM = "1 to 18 ASCII digits"
+
+
 def _trip_chunk(
     header: list[str], rows: list[list[str]], lines: list[int], excluded: set[str], strict: bool
 ) -> tuple[Trips, list[RowError]]:
-    """The trips of a run of csv rows, with the line each ends on, and their row errors."""
-    fast, skipped, table = _canonical_trips(header, rows, excluded)
-    slow = np.flatnonzero(~(fast | skipped))
-    built, errors = _build_rows(
-        ((lines[i], _row_dict(header, rows[i])) for i in slow.tolist()),
-        lambda row: _trip(row, excluded),
-        strict,
-    )
-    if built:
-        rows_of = np.concatenate([np.flatnonzero(fast), slow[[pos for pos, _ in built]]])
-        table = _concat(
-            [table, Trips.from_records(rec for _, rec in built)], np.argsort(rows_of).tolist()
-        )
-    return table, errors
+    """The trips of a run of csv rows, with the line each ends on, and their row errors.
 
-
-def _trip(row: dict, excluded: set[str]) -> TripRecord | None:
-    """One trip from a row mapping, or None when its mode is excluded."""
-    mode = row.get("mode")
-    if mode is not None:
-        mode = mode.strip() or None
-    if mode is not None and mode.lower() in excluded:
-        return None
-    return TripRecord(
-        card_id=_nonempty(row["card_id"], "card_id"),
-        start_time=_minute_time(row["start_time"], "start_time"),
-        start_station=_station(row["start_station"], "start_station"),
-        end_time=_minute_time(row["end_time"], "end_time"),
-        end_station=_station(row["end_station"], "end_station"),
-        mode=mode,
-    )
-
-
-def _row_dict(header: list[str], row: list[str]) -> dict:
-    """The mapping ``csv.DictReader`` makes of a row: a short row's missing fields are None."""
-    return dict(zip(header, row + [None] * (len(header) - len(row))))
-
-
-def _concat(tables: list[Trips], order: list[int] | None = None) -> Trips:
-    """The rows of ``tables`` one after another, or picked in ``order`` from that sequence."""
-
-    def column(name: str) -> np.ndarray:
-        joined = np.concatenate([getattr(t, name) for t in tables])
-        return joined if order is None else joined[order]
-
-    def labels(name: str) -> tuple:
-        joined = tuple(chain.from_iterable(getattr(t, name) for t in tables))
-        return joined if order is None else tuple(map(joined.__getitem__, order))
-
-    return Trips(
-        card_id=labels("card_id"),
-        start_time=column("start_time"),
-        start_station=column("start_station"),
-        end_time=column("end_time"),
-        end_station=column("end_station"),
-        mode=labels("mode"),
-    )
-
-
-def _canonical_trips(
-    header: list[str], rows: list[list[str]], excluded: set[str]
-) -> tuple[np.ndarray, np.ndarray, Trips]:
-    """Mark the rows in canonical form and convert them as columns.
-
-    Returns the mask of canonical rows; the mask of rows that yield neither
-    a trip nor an error unread, which are blank rows (``csv.DictReader``
-    skips them) and rows of the header's field count whose mode is excluded
-    (``_trip`` skips them); and the canonical rows as a ``Trips`` table.
+    A blank row (``csv.DictReader`` skips them) and a row of the header's
+    field count whose mode is excluded yield neither. Any other row outside
+    the canonical form is an error whose reason names the first check it fails.
     """
     width = len(header)
     lengths = _lengths(rows)
-    if not (lengths == width).all():  # stand blanks in for the other rows; none is canonical
-        blank = [""] * width
-        rows = [row if len(row) == width else blank for row in rows]
+    whole = lengths == width
+    # stand blanks in for the rows of another field count
+    fields = rows if whole.all() else [row if len(row) == width else [""] * width for row in rows]
     # a repeated column name reads its last column, as csv.DictReader's dicts do
     at = {name: i for i, name in enumerate(header)}
 
     def column(name: str) -> list[str]:
-        return list(map(itemgetter(at[name]), rows))
+        return list(map(itemgetter(at[name]), fields))
+
+    def bad(name: str, form: str):
+        return lambda i: f"{name} is not {form}: {fields[i][at[name]]!r}"
 
     cards = list(map(str.strip, column("card_id")))
-    starts, ok = _iso_minutes(column("start_time"))
+    starts, starts_ok = _iso_minutes(column("start_time"))
     ends, ends_ok = _iso_minutes(column("end_time"))
     start_ids, start_ids_ok = _station_ids(column("start_station"))
     end_ids, end_ids_ok = _station_ids(column("end_station"))
@@ -432,16 +329,50 @@ def _canonical_trips(
     else:
         modes = [None] * len(rows)
         dropped = np.zeros(len(rows), dtype=bool)
-    ok &= ends_ok & start_ids_ok & end_ids_ok & (ends >= starts) & ~dropped
-    ok &= np.fromiter(map(bool, cards), bool, len(cards))
+    checks = (
+        (whole, lambda i: f"row has {lengths[i]} fields, the header {width}"),
+        (np.fromiter(map(bool, cards), bool, len(cards)), lambda i: "card_id is empty"),
+        (starts_ok, bad("start_time", _TIME_FORM)),
+        (start_ids_ok, bad("start_station", _STATION_FORM)),
+        (ends_ok, bad("end_time", _TIME_FORM)),
+        (end_ids_ok, bad("end_station", _STATION_FORM)),
+        (ends >= starts, lambda i: "trip ends before it starts"),
+    )
+    ok = np.logical_and.reduce([passed for passed, _ in checks])
+    errors = []
+    for i in np.flatnonzero(~(ok | dropped) & (lengths > 0)).tolist():
+        reason = next(describe(i) for passed, describe in checks if not passed[i])
+        if strict:
+            raise ParseFailure(lines[i], reason)
+        errors.append(RowError(lines[i], reason))
+    ok &= ~dropped
     keep = ok.tolist()
-    return ok, (lengths == 0) | dropped, Trips(
+    return Trips(
         card_id=tuple(compress(cards, keep)),
         start_time=starts[ok].view("M8[us]"),
         start_station=start_ids[ok],
         end_time=ends[ok].view("M8[us]"),
         end_station=end_ids[ok],
         mode=tuple(compress(modes, keep)),
+    ), errors
+
+
+def _concat(tables: list[Trips]) -> Trips:
+    """The rows of ``tables`` one after another."""
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(t, name) for t in tables])
+
+    def labels(name: str) -> tuple:
+        return tuple(chain.from_iterable(getattr(t, name) for t in tables))
+
+    return Trips(
+        card_id=labels("card_id"),
+        start_time=column("start_time"),
+        start_station=column("start_station"),
+        end_time=column("end_time"),
+        end_station=column("end_station"),
+        mode=labels("mode"),
     )
 
 
@@ -466,10 +397,10 @@ def _iso_minutes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Microseconds since 1970 of texts in canonical timestamp form, and their mask.
 
     The mask holds the texts written exactly ``YYYY-MM-DDTHH:MM`` or
-    ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits that name a real instant, as
-    ``datetime.fromisoformat`` reads them; the value of any other is
-    meaningless. No sign, offset or fraction passes, whatever NumPy's own
-    datetime parser would accept.
+    ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits that name a real instant of the
+    proleptic Gregorian calendar; the value of any other is meaningless. No
+    sign, offset or fraction passes, whatever NumPy's own datetime parser
+    would accept.
     """
     lengths, codes = _lengths(texts), _code_points(texts, 19)
     digit = codes - ord("0")  # uint32: a code point below '0' wraps past 9
@@ -512,25 +443,6 @@ def _nonempty(raw: str | None, name: str) -> str:
     if raw is None or not raw.strip():
         raise ValueError(f"{name} is empty")
     return raw.strip()
-
-
-def _minute_time(raw: str | None, name: str) -> datetime:
-    try:
-        ts = datetime.fromisoformat(_nonempty(raw, name))
-    except ValueError:
-        raise ValueError(f"{name} is not an ISO-8601 timestamp: {raw!r}") from None
-    if ts.tzinfo is not None:
-        raise ValueError(
-            f"{name} {raw!r} carries a UTC offset; timestamps are naive wall-clock"
-        )
-    return ts
-
-
-def _station(raw: str | None, name: str) -> int:
-    value = _intval(raw, name)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
 
 
 def _intval(raw: str | None, name: str) -> int:
@@ -605,7 +517,7 @@ class StationSeries:
 
 
 def station_series(
-    trips: Trips | Iterable[TripRecord],
+    trips: Trips,
     epochs: EpochSpec,
     n_stations: int,
 ) -> StationSeries:
@@ -613,13 +525,10 @@ def station_series(
 
     Each endpoint is binned into its own epoch independently; endpoints
     outside the epoch range or with station ids outside [0, n_stations) are
-    dropped and counted, never raised. Records other than a ``Trips`` table
-    are first gathered into one.
+    dropped and counted, never raised.
     """
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
-    if not isinstance(trips, Trips):
-        trips = Trips.from_records(trips)
     origin = np.datetime64(epochs.start, "us")
     hour = np.timedelta64(EPOCH_SECONDS, "s")
 
@@ -628,7 +537,7 @@ def station_series(
         epoch = offset // hour
         inside = (offset >= np.timedelta64(0)) & (epoch < epochs.n_epochs)
         inside &= (stations >= 0) & (stations < n_stations)
-        cells = stations[inside].astype(np.int64) * epochs.n_epochs + epoch[inside]
+        cells = stations[inside] * epochs.n_epochs + epoch[inside]
         counts = np.bincount(cells, minlength=n_stations * epochs.n_epochs)
         dropped = len(times) - int(np.count_nonzero(inside))
         return SeriesSet(counts.reshape(n_stations, epochs.n_epochs), epochs, dropped)

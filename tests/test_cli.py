@@ -121,7 +121,7 @@ class TestIngestCli:
         assert main(["--strict", *argv] if strict else argv) == code
         captured = capsys.readouterr()
         if strict:
-            assert "carries a UTC offset" in captured.err
+            assert "start_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: '2016-02-01T08:00+00:00'" in captured.err
         else:
             assert "3 trips (1 bad rows)" in captured.out
 

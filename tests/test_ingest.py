@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from trip_reference import table
 
 from mobagg.ingest import (
     OUT_OF_GRID,
@@ -82,8 +83,11 @@ class TestParseTrips:
         )
         assert [r.card_id for r in result.records] == ["c2"]
         (err,) = result.errors
-        assert err.line == 2 and "carries a UTC offset" in err.message
-        with pytest.raises(ParseFailure, match="UTC offset"):
+        assert err.line == 2
+        assert err.message == (
+            "start_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: '2016-02-01T08:00+00:00'"
+        )
+        with pytest.raises(ParseFailure, match="end_time is not a timestamp"):
             parse_trips(trips_csv("c1,2016-02-01T08:00,3,2016-02-01T08:25-05:00,7"), strict=True)
 
     def test_missing_column_fails_fast(self):
@@ -173,20 +177,20 @@ class TestStationSeries:
     epochs = EpochSpec(start=datetime(2016, 2, 1), n_epochs=48)
 
     def test_single_trip(self):
-        result = station_series([make_trip("c1", 10, 0, 20, 1)], self.epochs, n_stations=3)
+        result = station_series(table([make_trip("c1", 10, 0, 20, 1)]), self.epochs, n_stations=3)
         assert result.tap_in.counts[0, 0] == 1 and result.tap_in.counts.sum() == 1
         assert result.tap_out.counts[1, 0] == 1 and result.tap_out.counts.sum() == 1
         assert result.dropped == 0
 
     def test_duplicates_accumulate(self):
         trips = [make_trip("c1", 10, 0, 20, 1), make_trip("c2", 15, 0, 30, 1)]
-        result = station_series(trips, self.epochs, n_stations=2)
+        result = station_series(table(trips), self.epochs, n_stations=2)
         assert result.tap_in.counts[0, 0] == 2
         assert result.tap_out.counts[1, 0] == 2
 
     def test_endpoints_bin_independently(self):
         # start in epoch 0, end in epoch 2
-        result = station_series([make_trip("c1", 50, 0, 80, 1)], self.epochs, n_stations=2)
+        result = station_series(table([make_trip("c1", 50, 0, 80, 1)]), self.epochs, n_stations=2)
         assert result.tap_in.counts[0, 0] == 1
         assert result.tap_out.counts[1, 2] == 1
 
@@ -196,20 +200,15 @@ class TestStationSeries:
             make_trip("c2", 10, 9, 20, 1),        # start station beyond n_stations
             make_trip("c3", 48 * 60 + 5, 0, 5, 1),  # both endpoints past the grid
         ]
-        result = station_series(trips, self.epochs, n_stations=3)
+        result = station_series(table(trips), self.epochs, n_stations=3)
         assert result.tap_in.counts.sum() == 1
         assert result.tap_out.counts.sum() == 2
         assert result.dropped == 3
 
     def test_negative_station_is_dropped(self):
-        result = station_series([make_trip("c1", 10, -1, 20, 1)], self.epochs, n_stations=3)
+        result = station_series(table([make_trip("c1", 10, -1, 20, 1)]), self.epochs, n_stations=3)
         assert result.tap_in.counts.sum() == 0 and result.tap_in.dropped == 1
         assert result.tap_out.counts[1, 0] == 1
-
-    def test_offset_timestamps_are_refused(self):
-        t0 = datetime(2016, 2, 1, 8, tzinfo=timezone.utc)
-        with pytest.raises(ValueError, match="naive wall clock"):
-            station_series([TripRecord("c1", t0, 0, t0, 1)], self.epochs, n_stations=3)
 
     def test_matches_brute_force_recount(self):
         rng = random.Random(314)
@@ -220,7 +219,7 @@ class TestStationSeries:
             trips.append(
                 make_trip(f"c{i}", start, rng.randint(0, 9), rng.randint(0, 90), rng.randint(0, 9))
             )
-        result = station_series(trips, self.epochs, n_stations)
+        result = station_series(table(trips), self.epochs, n_stations)
 
         expect_in = defaultdict(int)
         expect_out = defaultdict(int)
@@ -246,7 +245,7 @@ class TestStationSeries:
         assert result.tap_in.counts.sum() + result.tap_out.counts.sum() + dropped == 2 * len(trips)
 
     def test_combined_is_elementwise_sum(self):
-        result = station_series([make_trip("c1", 10, 0, 20, 0)], self.epochs, n_stations=2)
+        result = station_series(table([make_trip("c1", 10, 0, 20, 0)]), self.epochs, n_stations=2)
         combined = result.combined()
         assert np.array_equal(combined.counts, result.tap_in.counts + result.tap_out.counts)
 

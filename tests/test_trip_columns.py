@@ -1,22 +1,32 @@
 """The columnar trip reader and binner against the per-row reference.
 
-Hypothesis writes trip CSVs whose rows mix the canonical form with the forms
-only the per-row path reads or refuses; both implementations must accept the
-same records, report the same row errors, fail strict mode at the same line
-for the same reason and count the same taps and drops.
+Hypothesis writes trip CSVs whose rows mix the canonical form with forms the
+per-row reference reads or refuses. Rows both accept must give the same
+records in file order and count the same taps and drops; rows the reference
+refuses must be refused at the same line; rows only the reference accepts
+must be refused with a reason that names the field. Strict mode fails at the
+first refused row's line, for the reason the lenient parse gives it.
 """
 
 import csv
 import io
+import re
 from datetime import datetime, timedelta
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trip_reference as reference
-from mobagg.ingest import TRIP_FIELDS, ParseFailure, Trips, parse_trips, station_series
+from mobagg.ingest import (
+    TRIP_FIELDS,
+    ParseFailure,
+    RowError,
+    TripRecord,
+    Trips,
+    parse_trips,
+    station_series,
+)
 from mobagg.timeseries import EpochSpec
 
 EPOCHS = EpochSpec(start=datetime(2016, 2, 1), n_epochs=48)
@@ -28,7 +38,7 @@ def iso(ts: datetime, seconds: bool = False) -> str:
     return text + f":{ts.second:02d}" if seconds else text
 
 
-# each writes a timestamp in a form only the per-row path reads or refuses
+# each writes a timestamp outside the canonical form, which the reference reads or refuses
 ODD_FORMS = (
     lambda ts: iso(ts).replace("T", " "),
     lambda ts: f" {iso(ts)}\t",
@@ -60,7 +70,7 @@ ODD_TIMES = (
     "9999-12-31T23:59:59", "2016-02-01T08:60", "-2016-02-01T08:00", "\uff12016-02-01T08:00",
     "", "  ", "later",
 )
-# rows are mostly canonical, so that most files mix both paths
+# rows are mostly canonical, so that most files mix accepted and refused rows
 TIME_FORMS = st.one_of(
     *[st.sampled_from((iso, lambda ts: iso(ts, True)))] * 4,
     st.sampled_from(ODD_FORMS + tuple((lambda text: lambda ts: text)(t) for t in ODD_TIMES)),
@@ -128,59 +138,82 @@ def counts(series):
             series.tap_in.dropped, series.tap_out.dropped)
 
 
+FIELD_COUNT = re.compile(r"row has \d+ fields, the header \d+")
+
+
+def compare(text, exclude=()):
+    """Hold ``parse_trips`` to the reference on one file; return the lines it refuses, with their reasons."""
+    expected = list(reference.row_outcomes(io.StringIO(text, newline=""), exclude))
+    result = parse_trips(io.StringIO(text, newline=""), exclude_modes=exclude)
+    refused = {e.line: e.message for e in result.errors}
+    assert sorted(refused) == [e.line for e in result.errors]
+    assert set(refused) <= {line for line, _ in expected}
+    for line, ref in expected:
+        if isinstance(ref, str):  # the reference refuses it
+            assert line in refused
+        elif ref is None and line in refused:  # the reference skips its mode
+            assert FIELD_COUNT.fullmatch(refused[line])
+        elif line in refused:  # only the reference accepts it
+            assert FIELD_COUNT.fullmatch(refused[line]) or refused[line].split(" ")[0] in TRIP_FIELDS
+    both = [ref for line, ref in expected if isinstance(ref, TripRecord) and line not in refused]
+    assert isinstance(result.records, Trips) and list(result.records) == both
+    assert counts(station_series(result.records, EPOCHS, N_STATIONS)) == counts(
+        reference.station_series(both, EPOCHS, N_STATIONS)
+    )
+    strict = outcome(parse_trips, text, True, exclude)
+    if result.errors:
+        first = result.errors[0]
+        assert strict == ("failure", first.line, first.message)
+    else:
+        assert strict == (both, [])
+    return refused
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=trip_csv(), exclude=st.sampled_from(((), ("bus",), ("BUS", "tram"))))
 def test_columns_match_the_per_row_reference(text, exclude):
-    for strict in (False, True):
-        assert outcome(parse_trips, text, strict, exclude) == outcome(
-            reference.parse_trips, text, strict, exclude
-        )
-    table = parse_trips(io.StringIO(text, newline=""), exclude_modes=exclude).records
-    records = reference.parse_trips(io.StringIO(text, newline=""), exclude_modes=exclude).records
-    assert isinstance(table, Trips) and len(table) == len(records)
-    expected = counts(reference.station_series(records, EPOCHS, N_STATIONS))
-    assert counts(station_series(table, EPOCHS, N_STATIONS)) == expected
-    assert counts(station_series(records, EPOCHS, N_STATIONS)) == expected
+    compare(text, exclude)
 
 
 def test_every_odd_field_matches_the_per_row_reference():
     # the other endpoint is the earliest or latest canonical instant, so only
-    # the odd field can keep a row off the canonical path
+    # the odd field can make a row fail, and a refused row names it
     first, last = "0001-01-01T00:00", "9999-12-31T23:59:59"
     moments = (datetime(2015, 1, 31, 23, 30, 30), datetime(2016, 2, 28, 23, 59, 59),
                datetime(2100, 6, 30, 0, 0, 1), datetime(1, 1, 1, 0, 0, 0))
     times = [form(ts) for form in ODD_FORMS for ts in moments] + list(ODD_TIMES)
-    rows = [f"c,{t},1,{last},2" for t in times] + [f"c,{first},1,{t},2" for t in times]
-    rows += [f"c,{first},{s},{last},2" for s in STATIONS] + [f"c,{first},1,{last},{s}" for s in STATIONS]
-    rows += [f"{csv_field(c)},{first},1,{last},2" for c in CARDS]
-    text = ",".join(TRIP_FIELDS) + "\n" + "\n".join(rows) + "\n"
-    assert outcome(parse_trips, text, False, ()) == outcome(reference.parse_trips, text, False, ())
-    for row in rows:
-        one = ",".join(TRIP_FIELDS) + "\n" + row + "\n"
-        assert outcome(parse_trips, one, True, ()) == outcome(reference.parse_trips, one, True, ())
+    rows = [(f"c,{t},1,{last},2", "start_time") for t in times]
+    rows += [(f"c,{first},1,{t},2", "end_time") for t in times]
+    rows += [(f"c,{first},{s},{last},2", "start_station") for s in STATIONS]
+    rows += [(f"c,{first},1,{last},{s}", "end_station") for s in STATIONS]
+    rows += [(f"{csv_field(c)},{first},1,{last},2", "card_id") for c in CARDS]
+    header = ",".join(TRIP_FIELDS) + "\n"
+    text = header + "\n".join(row for row, _ in rows) + "\n"
+    compare(text)
+    for row, name in rows:
+        for reason in compare(header + row + "\n").values():
+            assert reason.startswith(name + " ")
 
 
 def csv_field(text):
+    # the writer quotes a field that holds a character of its line terminator
     buf = io.StringIO(newline="")
-    csv.writer(buf, lineterminator="").writerow([text])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow([text])
+    return buf.getvalue()[:-2]
 
 
 def test_rows_past_a_chunk_keep_their_lines_and_order():
     good = "c{0},2016-02-01T08:00,1,2016-02-01T09:30,2\n"
     rows = [good.format(i) for i in range(20000)]
-    rows[3] = "c3,2016-02-01 08:00,1,2016-02-01T09:30,2\n"  # per-row path, accepted
+    rows[3] = "c3,2016-02-01 08:00,1,2016-02-01T09:30,2\n"  # the reference reads it
     rows[9000] = "c9000,2016-02-01T08:00,x,2016-02-01T09:30,2\n"
     rows[17000] = "\n"
     text = ",".join(TRIP_FIELDS) + "\n" + "".join(rows)
+    assert sorted(compare(text)) == [5, 9002]
     new = parse_trips(io.StringIO(text, newline=""))
     old = reference.parse_trips(io.StringIO(text, newline=""))
-    assert list(new.records) == old.records
-    assert new.errors == old.errors and [e.line for e in new.errors] == [9002]
-    assert np.array_equal(
-        station_series(new.records, EPOCHS, N_STATIONS).tap_out.counts,
-        reference.station_series(old.records, EPOCHS, N_STATIONS).tap_out.counts,
-    )
+    assert [e.line for e in old.errors] == [9002]
+    assert list(new.records) == old.records[:3] + old.records[4:]
 
 
 def test_a_row_after_blank_lines_keeps_its_physical_line():
@@ -188,8 +221,7 @@ def test_a_row_after_blank_lines_keeps_its_physical_line():
     text = ",".join(TRIP_FIELDS) + "\n\n\nc1,later,1,2016-02-01T09:30,2\n"
     assert [e.line for e in parse_trips(io.StringIO(text, newline="")).errors] == [4]
     assert outcome(parse_trips, text, True, ())[:2] == ("failure", 4)
-    for strict in (False, True):
-        assert outcome(parse_trips, text, strict, ()) == outcome(reference.parse_trips, text, strict, ())
+    assert list(compare(text)) == [4]
 
 
 BAD_ROW = "c1,later,1,2016-02-01T09:30,2\n"
@@ -199,9 +231,8 @@ GOOD_ROW = "c{0},2016-02-01T08:00,1,2016-02-01T09:30,2\n"
 def test_a_bad_row_fails_strict_mode_before_a_later_unreadable_field():
     oversize = "c2,2016-02-01T08:00,1,2016-02-01T09:30," + "9" * (csv.field_size_limit() + 1) + "\n"
     text = ",".join(TRIP_FIELDS) + "\n" + BAD_ROW + GOOD_ROW.format(3) + oversize
-    expected = outcome(reference.parse_trips, text, True, ())
-    assert expected[:2] == ("failure", 2)
-    assert outcome(parse_trips, text, True, ()) == expected
+    for parse in (parse_trips, reference.parse_trips):
+        assert outcome(parse, text, True, ())[:2] == ("failure", 2)
     for parse in (parse_trips, reference.parse_trips):
         with pytest.raises(csv.Error, match="field larger than field limit"):
             parse(io.StringIO(text, newline=""))
@@ -217,8 +248,57 @@ def test_a_bad_row_fails_strict_mode_before_a_later_undecodable_byte(tmp_path):
             reference.parse_trips(fh, strict=True)
     with pytest.raises(ParseFailure) as failure:
         parse_trips(path, strict=True)
-    assert (failure.value.line, failure.value.reason) == (expected.value.line, expected.value.reason) == (
-        2, "start_time is not an ISO-8601 timestamp: 'later'"
-    )
+    assert failure.value.line == expected.value.line == 2
+    assert failure.value.reason == "start_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: 'later'"
     with pytest.raises(UnicodeDecodeError):
         parse_trips(path)
+
+
+# forms the reference reads that the grammar refuses, and one it accepts
+FORMS = {
+    "space separator": ("c1,2016-02-01 08:00,3,2016-02-01T08:25,7",
+                        "start_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: '2016-02-01 08:00'"),
+    "fractional seconds": ("c1,2016-02-01T08:00,3,2016-02-01T08:25:00.5,7",
+                           "end_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: '2016-02-01T08:25:00.5'"),
+    "week date": ("c1,2016-W05-1T08:00,3,2016-02-01T08:25,7",
+                  "start_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: '2016-W05-1T08:00'"),
+    "basic format": ("c1,20160201T0800,3,2016-02-01T08:25,7",
+                     "start_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: '20160201T0800'"),
+    "plus sign": ("c1,2016-02-01T08:00,+3,2016-02-01T08:25,7",
+                  "start_station is not 1 to 18 ASCII digits: '+3'"),
+    "leading space": ("c1,2016-02-01T08:00,3,2016-02-01T08:25, 3",
+                      "end_station is not 1 to 18 ASCII digits: ' 3'"),
+    "19 digits": ("c1,2016-02-01T08:00,1000000000000000000,2016-02-01T08:25,7",
+                  "start_station is not 1 to 18 ASCII digits: '1000000000000000000'"),
+    "long row": ("c1,2016-02-01T08:00,3,2016-02-01T08:25,7,extra", "row has 6 fields, the header 5"),
+    "leading zeros": ("c2,2016-02-01T08:00,0003,2016-02-01T08:25,7", None),
+}
+
+
+@pytest.mark.parametrize("row, reason", FORMS.values(), ids=FORMS.keys())
+def test_forms_the_reference_reads(row, reason):
+    text = ",".join(TRIP_FIELDS) + "\n" + GOOD_ROW.format(1) + row + "\n"
+    assert reference.parse_trips(io.StringIO(text, newline="")).ok
+    result = parse_trips(io.StringIO(text, newline=""))
+    if reason is None:
+        assert result.ok and [r.start_station for r in result.records] == [1, 3]
+        return
+    assert [r.card_id for r in result.records] == ["c1"]
+    assert result.errors == [RowError(3, reason)]
+    assert outcome(parse_trips, text, True, ()) == ("failure", 3, reason)
+
+
+@pytest.mark.parametrize("row, reason", [
+    (" ,later,x,later,x", "card_id is empty"),
+    ("c1,later,x,later,x", "start_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: 'later'"),
+    ("c1,2016-02-01T09:00,x,later,x", "start_station is not 1 to 18 ASCII digits: 'x'"),
+    ("c1,2016-02-01T09:00,1,later,x", "end_time is not a timestamp YYYY-MM-DDTHH:MM[:SS]: 'later'"),
+    ("c1,2016-02-01T09:00,1,2016-02-01T08:00,x", "end_station is not 1 to 18 ASCII digits: 'x'"),
+    ("c1,2016-02-01T09:00,1,2016-02-01T08:00,2", "trip ends before it starts"),
+    (" ,later,x,later", "row has 4 fields, the header 5"),
+    ("c,2016-02-01T08:00,3", "row has 3 fields, the header 5"),
+], ids=["card_id", "start_time", "start_station", "end_time", "end_station", "order", "field-count",
+        "short-row"])
+def test_a_row_names_its_first_failing_check(row, reason):
+    text = ",".join(TRIP_FIELDS) + "\n" + row + "\n"
+    assert parse_trips(io.StringIO(text, newline="")).errors == [RowError(2, reason)]

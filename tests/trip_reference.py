@@ -1,10 +1,12 @@
 """The per-row trip parser and binner, written out a second time for the tests.
 
 ``parse_trips`` reads a trip CSV one ``csv.DictReader`` row at a time into a
-list of ``TripRecord``; ``station_series`` bins such records one endpoint at
-a time with ``EpochSpec.index_of``. The columnar reader and binner in
-``mobagg.ingest`` must accept the same rows, report the same errors at the
-same lines and count the same taps as these.
+list of ``TripRecord``, reading whatever ``datetime.fromisoformat`` and
+``int`` read; ``station_series`` bins such records one endpoint at a time
+with ``EpochSpec.index_of``. ``mobagg.ingest`` reads only the canonical
+form, so it refuses some rows these accept. For every row both accept, the
+columnar reader and binner must give the same records and count the same
+taps as these, and they must refuse every row these refuse at the same line.
 """
 
 from __future__ import annotations
@@ -22,10 +24,24 @@ from mobagg.ingest import (
     SeriesSet,
     StationSeries,
     TripRecord,
+    Trips,
 )
 
 
 def parse_trips(source, strict=False, exclude_modes=()):
+    result = ParseResult(records=[])
+    for line, outcome in row_outcomes(source, exclude_modes):
+        if isinstance(outcome, str):
+            if strict:
+                raise ParseFailure(line, outcome)
+            result.errors.append(RowError(line, outcome))
+        elif outcome is not None:
+            result.records.append(outcome)
+    return result
+
+
+def row_outcomes(source, exclude_modes=()):
+    """Each row's line with its ``TripRecord``, the reason it is refused, or None when its mode is excluded."""
     excluded = {m.strip().lower() for m in exclude_modes}
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
@@ -33,19 +49,12 @@ def parse_trips(source, strict=False, exclude_modes=()):
     missing = [c for c in TRIP_FIELDS if c not in reader.fieldnames]
     if missing:
         raise ParseFailure(1, f"missing columns: {', '.join(missing)}")
-    result = ParseResult(records=[])
     for row in reader:
-        line = reader.line_num
         try:
-            rec = _build(row, excluded)
+            outcome = _build(row, excluded)
         except (ValueError, KeyError, TypeError) as exc:
-            if strict:
-                raise ParseFailure(line, str(exc)) from exc
-            result.errors.append(RowError(line, str(exc)))
-            continue
-        if rec is not None:
-            result.records.append(rec)
-    return result
+            outcome = str(exc)
+        yield reader.line_num, outcome
 
 
 def _build(row, excluded):
@@ -110,4 +119,17 @@ def station_series(trips, epochs, n_stations):
     return StationSeries(
         tap_in=SeriesSet(tap_in, epochs, dropped_in),
         tap_out=SeriesSet(tap_out, epochs, dropped_out),
+    )
+
+
+def table(records):
+    """The ``Trips`` table of ``records``, in their order."""
+    rows = list(records)
+    return Trips(
+        card_id=tuple(r.card_id for r in rows),
+        start_time=np.array([r.start_time for r in rows], dtype="M8[us]"),
+        start_station=np.array([r.start_station for r in rows], dtype=np.int64),
+        end_time=np.array([r.end_time for r in rows], dtype="M8[us]"),
+        end_station=np.array([r.end_station for r in rows], dtype=np.int64),
+        mode=tuple(r.mode for r in rows),
     )
