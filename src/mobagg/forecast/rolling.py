@@ -26,7 +26,7 @@ from ..timeseries import (
     deseasonalize,
     forecast_errors,
 )
-from .arma import ArmaModel, FitError, css_innovations, fit_arma
+from .arma import ArmaModel, FitError, _select_model, css_innovations, fit_arma
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class RollingForecast:
     """One-step predictions over consecutive scanned days for one ROI.
 
     ``residuals`` are signed (actual - predicted) and out-of-sample, which
-    is what anomaly thresholds need, see ``harness.pipeline.analyze_roi``.
+    is what anomaly thresholds need, see ``harness.pipeline.analyze_rois``.
     ``models`` holds each scanned day's fitted model, None where the fit
     failed; ``fallback_epochs`` lists the slots of those days.
     """
@@ -72,7 +72,8 @@ class RollingForecast:
 
 
 def scan_windows(series: RoiTimeSeries, profile: SeasonalProfile | None, start_day: int,
-                 n_days: int, orders: Tuple[int, int], train_days: int = 5) -> list[np.ndarray]:
+                 n_days: int, orders: Tuple[int, int] | None,
+                 train_days: int = 5) -> list[np.ndarray]:
     """Each scanned day's training window; ``ValueError`` for a scan ``rolling_scan`` refuses."""
     epd = EPOCHS_PER_DAY
     if train_days < 1 or n_days < 1:
@@ -85,7 +86,7 @@ def scan_windows(series: RoiTimeSeries, profile: SeasonalProfile | None, start_d
     if scan_end > len(series):
         raise ValueError(f"scan ends at epoch {scan_end}, series has {len(series)}")
     d = series.values if profile is None else deseasonalize(series, profile).values
-    p, q = orders
+    p, q = orders or (0, 0)  # None: AIC selects orders, and those always fit
     # checked here: fit_day takes fit_arma's ValueError for a failed fit
     if p < 0 or q < 0 or 10 * (p + q + 1) > train_days * epd:
         raise ValueError(f"ARMA({p},{q}) cannot fit a {train_days * epd}-slot training window")
@@ -142,7 +143,7 @@ def rolling_scan(
     profile: SeasonalProfile | None,
     start_day: int,
     n_days: int,
-    orders: Tuple[int, int],
+    orders: Tuple[int, int] | None = None,
     train_days: int = 5,
 ) -> RollingForecast:
     """Scan ``n_days`` consecutive days starting at ``start_day``.
@@ -150,9 +151,15 @@ def rolling_scan(
     With a profile the model runs on de-seasonalized values and predictions
     are re-seasonalized; without one it runs on the raw series (the black-box
     baseline). Every day is fitted at ``orders`` (``fit_day``); orders no
-    training window can fit raise ``ValueError``. A day whose fit fails falls
-    back to the seasonal mean, see ``assemble_scan``.
+    training window can fit raise ``ValueError``. With no ``orders``, AIC
+    picks them on ``start_day``'s training window by ``select_order``'s rule,
+    and the winning fit serves that day. A day whose fit fails falls back to
+    the seasonal mean, see ``assemble_scan``.
     """
     windows = scan_windows(series, profile, start_day, n_days, orders, train_days)
-    models = [fit_day(window, orders) for window in windows]
+    if orders is None:
+        orders, winner = _select_model(windows[0])
+        models = [winner, *(fit_day(window, orders) for window in windows[1:])]
+    else:
+        models = [fit_day(window, orders) for window in windows]
     return assemble_scan(series, profile, start_day, orders, models, train_days)

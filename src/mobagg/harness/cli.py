@@ -74,7 +74,6 @@ def _orders_help(day: str) -> str:
 # --- subcommand bodies ---
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     epochs = EpochSpec(start=datetime.fromisoformat(args.start), n_epochs=args.epochs)
     if args.kind == "station":
         if args.n_stations is None:
@@ -84,6 +83,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         excluded = [m for m in (args.exclude_modes or "").split(",") if m]
         result = parse_trips(args.input, strict=args.strict, exclude_modes=excluded)
         stations = station_series(result.records, epochs, args.n_stations)
+        out = _out_dir(args)
         write_series_csv(stations.tap_in, out / "station_in.csv")
         write_series_csv(stations.tap_out, out / "station_out.csv")
         write_series_csv(stations.combined(), out / "station_total.csv")
@@ -102,6 +102,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         )
         result = parse_gps(args.input, strict=args.strict)
         cells = grid_series(result.records, grid, epochs)
+        out = _out_dir(args)
         write_series_csv(cells, out / "grid_cells.csv", grid=grid)
         print(
             f"{len(result.records)} fixes ({len(result.errors)} bad rows), "
@@ -112,27 +113,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     from ..forecast import FitError, rolling_scan, write_forecast_report, write_model_dump
-    from .pipeline import aic_orders
 
-    out = _out_dir(args)
     series_set = read_series_csv(args.series)
     series = series_set.series(args.roi)
     profile = None if args.raw else seasonal_profile(series)
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     test_day = args.test_day if args.test_day is not None else n_days - 1
-    orders = _orders(args.orders)
-    if orders is None:
-        d = series.values if profile is None else deseasonalize(series, profile).values
-        orders = aic_orders(d, test_day, args.train_days)
-    fc = rolling_scan(series, profile, test_day, 1, orders, train_days=args.train_days)
+    fc = rolling_scan(series, profile, test_day, 1, _orders(args.orders),
+                      train_days=args.train_days)
+    (model,) = fc.models
+    if model is None:
+        raise FitError("ARMA(%d,%d) could not be fitted for day %d" % (*fc.orders, test_day))
     rows = [
         (args.roi, int(e), float(a), float(p))
         for e, a, p in zip(fc.epoch_indices, fc.actuals, fc.predictions)
     ]
+    out = _out_dir(args)
     write_forecast_report(out / "forecast.csv", rows)
-    (model,) = fc.models
-    if model is None:
-        raise FitError("ARMA(%d,%d) could not be fitted for day %d" % (*fc.orders, test_day))
     write_model_dump(out / "model.json", model)
     print(
         f"roi {args.roi} day {test_day}: orders {fc.orders}, "
@@ -146,7 +143,6 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
     from .pipeline import _check_keep_fraction, analyze_rois
 
     _check_keep_fraction(args.keep_fraction)
-    out = _out_dir(args)
     series_set = read_series_csv(args.series)
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     days = args.days if args.days is not None else n_days - args.start_day
@@ -159,6 +155,7 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
     )
     events = [e for a in analyses for e in a.events]
     ranked = rank_anomalies(events, args.keep_fraction) if events else []
+    out = _out_dir(args)
     write_anomaly_report(out / "anomalies.csv", ranked)
     print(f"{len(events)} flagged slots, kept {len(ranked)} -> {out}")
     return 0
@@ -166,10 +163,9 @@ def cmd_anomalies(args: argparse.Namespace) -> int:
 
 def cmd_enhance(args: argparse.Namespace) -> int:
     from ..forecast import rolling_scan, write_enhancement_report
-    from .pipeline import _check_helper_search, aic_orders, enhance_roi
+    from .pipeline import _check_helper_search, enhance_roi
 
     _check_helper_search(args.top_k, args.max_lag)
-    out = _out_dir(args)
     series_set = read_series_csv(args.series)
     if series_set.n_rois < 2:
         raise ValueError("enhancement needs at least two ROIs in the series file")
@@ -179,17 +175,14 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     d_all = [deseasonalize(s, p) for s, p in zip(every, profiles)]
     n_days = series_set.epochs.n_epochs // EPOCHS_PER_DAY
     test_day = args.test_day if args.test_day is not None else n_days - 1
-    orders = _orders(args.orders)
-    if orders is None:
-        orders = aic_orders(d_all[args.target].values, test_day, args.train_days)
-    baseline = rolling_scan(
-        target, profiles[args.target], test_day, 1, orders, train_days=args.train_days,
-    )
+    baseline = rolling_scan(target, profiles[args.target], test_day, 1, _orders(args.orders),
+                            train_days=args.train_days)
     enh, helper_ids = enhance_roi(
         d_all, baseline, train_days=args.train_days, top_k=args.top_k, max_lag=args.max_lag,
     )
     if enh is None:
         raise ValueError("no usable helper series (all correlations undefined)")
+    out = _out_dir(args)
     write_enhancement_report(out / "enhancement.csv", enh, helper_ids)
     print(
         f"roi {args.target} day {test_day}: helpers {list(helper_ids)}, "

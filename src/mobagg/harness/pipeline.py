@@ -8,13 +8,15 @@ seam.
 
 The seam is also an import boundary: importing this module loads the
 protocol and NumPy but not ``mobagg.forecast``, and so not SciPy, which only
-the analytics use. The forecast functions the analytics call
-(``_ANALYTICS``) bind as globals of this module on first analytics use, through
-``_analytics()`` at the top of each analytics entry point, or on first
-attribute access through the module ``__getattr__``. They are globals, not
-local imports, because callers look them up here: the benchmark's tracer
-wraps them on this module. ``analyze_rois`` binds them before it forks, so
-the workers inherit SciPy instead of each importing it again.
+the analytics use. The forecast names in ``_ANALYTICS`` bind as globals of
+this module on first analytics use, through ``_analytics()`` at the top of
+each analytics entry point, or on first attribute access through the module
+``__getattr__``. They are globals, not local imports, because callers look
+them up here: the benchmark's tracer wraps them on this module. The analytics
+call all but two of them; ``rolling_scan`` and ``select_order``, like the
+imported ``adf_stationary``, stay bound only for the tracer, whose wrap
+points must exist. ``analyze_rois`` binds the names before it forks, so the
+workers inherit SciPy instead of each importing it again.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..ingest import SeriesSet
 from ..timeseries import (
     EPOCHS_PER_DAY,
     RoiTimeSeries,
-    adf_stationary,
+    adf_stationary,  # not called: a tracer wrap point, see the module docstring
     deseasonalize,
     seasonal_profile,
 )
@@ -138,7 +140,6 @@ class PipelineConfig:
 class PipelineResult:
     aggregates: SeriesSet
     round_reports: tuple[RoundReport, ...]
-    stationary: dict[int, bool]
     forecasts: dict[int, RollingForecast]
     scans: dict[int, RollingForecast]
     anomalies: tuple[AnomalyEvent, ...]
@@ -199,42 +200,6 @@ class RoiAnalysis:
     seconds: float = field(compare=False)
 
 
-def aic_orders(values: np.ndarray, day: int, train_days: int = 5) -> tuple[int, int]:
-    """The ARMA orders for a scan from ``day`` when none are given.
-
-    This is the one order-selection rule of the analytics: AIC over
-    ``select_order``'s default grid, ARMA(<=3, <=2), on the ``train_days``
-    training window before ``day``. ``values`` are what the scan fits:
-    de-seasonalized counts, or raw ones for a black-box forecast.
-    """
-    _analytics()
-    lo, hi = (day - train_days) * EPOCHS_PER_DAY, day * EPOCHS_PER_DAY
-    if lo < 0 or hi > len(values):
-        raise ValueError(f"the {train_days}-day window before day {day} is outside the series")
-    return select_order(values[lo:hi])
-
-
-def analyze_roi(
-    series: RoiTimeSeries,
-    start_day: int,
-    n_days: int,
-    train_days: int = 5,
-    calibration_days: int = 7,
-    orders: tuple[int, int] | None = None,
-) -> RoiAnalysis:
-    """Scan ``n_days`` days from ``start_day`` against a calibrated band.
-
-    The band's (mu, sigma) come from the ``calibration_days`` before
-    ``start_day``, scanned by the same rolling forecaster. Thresholds must
-    come from out-of-sample errors: in-sample innovations understate the
-    error scale (fitted parameters absorb part of it, and so does an
-    estimated seasonal profile), which makes a 3-sigma band fire far too
-    often. Orders default to ``aic_orders`` at ``start_day`` and stay frozen
-    for every day of the one rolling scan.
-    """
-    return analyze_rois([series], start_day, n_days, train_days, calibration_days, orders)[0]
-
-
 def _run(fn: Callable, *args: object) -> Future:
     """The in-process path's ``submit``: run the task now, return it finished."""
     task: Future = Future()
@@ -254,7 +219,7 @@ def _timed(fn: Callable, *args: object) -> tuple[object, float]:
 def _scan_rois(submit: Callable[..., Future], series: Sequence[RoiTimeSeries], start_day: int,
                n_days: int, train_days: int, calibration_days: int,
                orders: tuple[int, int] | None) -> list[RoiAnalysis]:
-    """``analyze_roi`` over every series, each fit a task handed to ``submit``.
+    """``analyze_rois``' scans, each fit a task handed to ``submit``.
 
     A task, a ROI's order selection or one day's fit, carries only its window
     and orders. Day fits follow their ROI's selection, whose winner serves the
@@ -264,8 +229,7 @@ def _scan_rois(submit: Callable[..., Future], series: Sequence[RoiTimeSeries], s
     prepared = []
     for s in series:
         profile = seasonal_profile(s)
-        # selected orders always fit the window: only given ones need the check
-        windows = scan_windows(s, profile, first, end - first, orders or (0, 0), train_days)
+        windows = scan_windows(s, profile, first, end - first, orders, train_days)
         prepared.append((deseasonalize(s, profile), profile, windows))
     tasks: dict[tuple[int, int], Future] = {}   # (ROI, day) -> its fit; day -1: the selection
 
@@ -331,7 +295,16 @@ def analyze_rois(
     calibration_days: int = 7,
     orders: tuple[int, int] | None = None,
 ) -> list[RoiAnalysis]:
-    """``analyze_roi`` over every series, in order, its fits spread over the CPUs.
+    """Scan ``n_days`` days from ``start_day`` for every series, in order.
+
+    Each series' band (mu, sigma) comes from the ``calibration_days`` before
+    ``start_day``, scanned by the same rolling forecaster. Thresholds must
+    come from out-of-sample errors: in-sample innovations understate the
+    error scale (fitted parameters absorb part of it, and so does an
+    estimated seasonal profile), which makes a 3-sigma band fire far too
+    often. Without ``orders``, AIC picks each series' orders on
+    ``start_day``'s training window, and they stay frozen for every day of
+    its one rolling scan.
 
     Forked workers take fit tasks, not whole ROIs (``_scan_rois``): the dear
     selections start first and the short day fits fill in behind them. Every
@@ -399,9 +372,6 @@ def analyze_aggregates(
         calibration_days=config.calibration_days,
         orders=config.arma_orders,
     )
-    stationary = {
-        r: adf_stationary(a.deseasonalized.values).stationary for r, a in enumerate(analyses)
-    }
     scans = {r: a.scan.days(config.scan_start_day, scan_days) for r, a in enumerate(analyses)}
     # the forecast report covers the last day, where every scan ends
     forecasts = {r: a.scan.days(n_days - 1, 1) for r, a in enumerate(analyses)}
@@ -433,7 +403,6 @@ def analyze_aggregates(
     return PipelineResult(
         aggregates=aggregates,
         round_reports=(),
-        stationary=stationary,
         forecasts=forecasts,
         scans=scans,
         anomalies=ranked,

@@ -78,6 +78,10 @@ class SimConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_users < 2:
             raise ValueError("need at least 2 users")
+        # assign_groups' checks, made before any key is drawn
+        for name in ("group_size", "threshold"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
         for name in ("n_stations", "grid_rows", "grid_cols"):

@@ -15,7 +15,7 @@ from mobagg import sketch as cms
 from mobagg.forecast import enhanced_forecast, fit_arma, rolling_scan, select_order
 from mobagg.forecast.correlate import average_ranks, spearman
 from mobagg.forecast.var import fit_var
-from mobagg.harness.pipeline import PipelineConfig, aic_orders, analyze_roi, run_pipeline
+from mobagg.harness.pipeline import PipelineConfig, analyze_rois, run_pipeline
 from mobagg.harness.simulate import SimConfig
 from mobagg.privagg import (
     GroupView,
@@ -180,10 +180,9 @@ def test_criterion_06_forecast_method_ordering(record_property):
     for seed in range(10):
         series = seasonal_series(0, 4, default_rng(seed), phi=0.6, sigma=6.0)
         profile = seasonal_profile(series)
-        d = deseasonalize(series, profile).values
         # each method picks its orders on the 5 training days before day 25
-        des = rolling_scan(series, profile, 25, 1, aic_orders(d, 25))
-        raw = rolling_scan(series, None, 25, 1, aic_orders(series.values, 25))
+        des = rolling_scan(series, profile, 25, 1)
+        raw = rolling_scan(series, None, 25, 1)
         des_maes.append(des.errors.mean)
         raw_maes.append(raw.errors.mean)
     elapsed = time.perf_counter() - start
@@ -212,7 +211,8 @@ def test_criterion_07_anomaly_recall_and_rate(record_property):
             0, weeks, default_rng(seed), phi=0.6, sigma=6.0,
             impulses={p: 36.0 for p in positions},
         )
-        events = analyze_roi(series, start_day, n_days, orders=None).events
+        (analysis,) = analyze_rois([series], start_day, n_days, orders=None)
+        events = analysis.events
         flagged = {e.epoch_index for e in events}
         recalls.append(sum(p in flagged for p in positions) / len(positions))
         fractions.append(len(events) / (n_days * 24))

@@ -243,6 +243,23 @@ class TestForecastCli:
         expected = write_model_dump(tmp_path / "expected.json", fit(d[192:312], 1, 0))
         assert (out / "model.json").read_bytes() == expected.read_bytes()
 
+    def test_selected_orders_keep_the_winning_fit(self, tmp_path, monkeypatch):
+        # the 12 fits of the ARMA(<=3, <=2) selection, and no refit of the winner
+        path = write_series(tmp_path, synth_counts(1, 336))
+        fit, calls = arma_mod.fit_arma, {"select": 0, "scan": 0}
+
+        def counted(kind):
+            def fit_counted(window, p, q):
+                calls[kind] += 1
+                return fit(window, p, q)
+            return fit_counted
+
+        monkeypatch.setattr(arma_mod, "fit_arma", counted("select"))
+        monkeypatch.setattr(rolling_mod, "fit_arma", counted("scan"))
+        argv = ["--out", str(tmp_path / "out"), "forecast", "--series", str(path), "--roi", "0"]
+        assert main(argv) == 0
+        assert calls == {"select": 12, "scan": 0}
+
     def test_failed_fit_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise FitError("forced")
@@ -254,7 +271,7 @@ class TestForecastCli:
                 "--orders", "1,0"]
         assert main(argv) == 1
         assert "ARMA(1,0) could not be fitted for day 13" in capsys.readouterr().err
-        assert not (out / "model.json").exists()
+        assert not out.exists()
 
     def test_report_matches_the_pipeline_without_orders(self, tmp_path):
         # with the scan starting on the last day, the pipeline picks its
@@ -589,7 +606,9 @@ class TestSimulateCli:
     @pytest.mark.parametrize("argv", [
         ["--mode", "od", "--n-stations", "4100"],
         ["--n-stations", "-3"],
-    ], ids=["oversize-vector", "negative-stations"])
+        ["--group-size", "1"],
+        ["--threshold", "1"],
+    ], ids=["oversize-vector", "negative-stations", "group-of-one", "threshold-of-one"])
     def test_refused_run_creates_no_out_directory(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         code = main(["--out", str(out), "simulate", "--users", "2", "--group-size", "2"] + argv)
@@ -714,3 +733,18 @@ class TestConfigAndUsage:
         argv = ["--out", str(tmp_path / "out"), command[0], "--series", str(series), *command[1:]]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["ingest", "--kind", "station", "--input", "MISSING",
+         "--start", "2016-02-01T00:00:00", "--epochs", "24", "--n-stations", "2"],
+        ["forecast", "--series", "MISSING", "--roi", "0"],
+        ["anomalies", "--series", "MISSING"],
+        ["enhance", "--series", "MISSING", "--target", "0"],
+    ], ids=["ingest", "forecast", "anomalies", "enhance"])
+    def test_missing_input_creates_no_out_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        missing = str(tmp_path / "nope.csv")
+        argv = ["--out", str(out), *(missing if a == "MISSING" else a for a in command)]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

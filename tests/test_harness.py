@@ -22,9 +22,7 @@ import mobagg.privagg.masking as masking_mod
 from mobagg.forecast import FitError, detect_anomalies, rolling_scan, select_order
 from mobagg.harness.pipeline import (
     PipelineConfig,
-    aic_orders,
     analyze_aggregates,
-    analyze_roi,
     analyze_rois,
     collect_aggregate_series,
     run_pipeline,
@@ -746,7 +744,6 @@ class TestPipeline:
         r2 = run_pipeline(config, tmp_path / "b")
         assert np.array_equal(r1.aggregates.counts, r2.aggregates.counts)
         assert r1.anomalies == r2.anomalies
-        assert r1.stationary == r2.stationary
         for key in r1.paths:
             assert Path(r1.paths[key]).read_bytes() == Path(r2.paths[key]).read_bytes()
 
@@ -815,7 +812,8 @@ class TestAnalyzeRoi:
         return seasonal_series(0, 4, np.random.default_rng(0), phi=0.6, sigma=6.0)
 
     def check_against_references(self, series, orders):
-        result = analyze_roi(series, 12, 4, train_days=5, calibration_days=7, orders=orders)
+        (result,) = analyze_rois([series], 12, 4, train_days=5, calibration_days=7,
+                                 orders=orders)
         profile = seasonal_profile(series)
         if orders is None:
             d = deseasonalize(series, profile).values
@@ -860,17 +858,17 @@ class TestAnalyzeRoi:
 
     def test_scan_window_needs_history(self, series):
         with pytest.raises(ValueError, match="train_days \\+ calibration_days"):
-            analyze_roi(series, 11, 4)
+            analyze_rois([series], 11, 4)
         with pytest.raises(ValueError):
-            analyze_roi(series, 12, 0)
+            analyze_rois([series], 12, 0)
 
     def test_order_window_must_lie_in_the_series(self, series):
         d = series.values
-        assert aic_orders(d, 28) == select_order(d[23 * 24 : 28 * 24], 3, 2)
-        with pytest.raises(ValueError, match="5-day window before day 4 is outside"):
-            aic_orders(d, 4)
-        with pytest.raises(ValueError, match="5-day window before day 29 is outside"):
-            aic_orders(d, 29)
+        assert rolling_scan(series, None, 27, 1).orders == select_order(d[22 * 24 : 27 * 24])
+        with pytest.raises(ValueError, match="day 4 has only 4 days of history, need 5"):
+            rolling_scan(series, None, 4, 1)
+        with pytest.raises(ValueError, match="scan ends at epoch 696, series has 672"):
+            rolling_scan(series, None, 28, 1)
 
 
 def two_workers(n_rois):

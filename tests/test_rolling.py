@@ -1,5 +1,6 @@
 """Rolling day-by-day forecasting, error calibration, and VAR enhancement."""
 
+from dataclasses import fields, is_dataclass
 from itertools import count
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import mobagg.forecast.rolling as rolling_mod
 from mobagg.forecast import FitError, enhanced_forecast, rolling_scan, select_order
-from mobagg.harness.pipeline import aic_orders, analyze_roi
+from mobagg.harness.pipeline import analyze_rois
 from mobagg.timeseries import (
     EPOCHS_PER_DAY,
     EpochSpec,
@@ -24,6 +25,18 @@ def noisy_fixture():
     rng = np.random.default_rng(0)
     series = seasonal_series(0, 4, rng, phi=0.6, sigma=6.0)
     return series, seasonal_profile(series)
+
+
+def same(a, b):
+    """Field-by-field equality of nested dataclasses, tuples and arrays."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 def reference_one_step(model, history, innovations):
@@ -70,8 +83,7 @@ class TestRollingForecast:
     def test_noise_free_series_is_predicted_exactly(self):
         series = seasonal_series(0, 4, np.random.default_rng(0), phi=0.6, sigma=0.0)
         profile = seasonal_profile(series)
-        orders = aic_orders(deseasonalize(series, profile).values, 25)
-        result = rolling_scan(series, profile, 25, 1, orders)
+        result = rolling_scan(series, profile, 25, 1)
         assert result.errors.mean == 0.0
         assert result.orders == (0, 0)
         assert result.fallback_epochs == ()
@@ -101,6 +113,24 @@ class TestRollingForecast:
         assert len(scan.models) == 3
         assert scan.days(21, 1).models == (scan.models[1],)
         assert scan.models[0].aic == one.models[0].aic
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["deseasonalized", "raw"])
+    def test_selected_orders_keep_the_winning_fit(self, noisy_fixture, monkeypatch, raw):
+        # AIC picks the orders on day 20's window, and its winner serves day 20
+        series, profile = noisy_fixture
+        profile = None if raw else profile
+        d = series.values if raw else deseasonalize(series, profile).values
+        given = rolling_scan(series, profile, 20, 3, select_order(d[15 * 24 : 20 * 24]))
+        fit, calls = rolling_mod.fit_arma, []
+
+        def counting(window, p, q):
+            calls.append((p, q))
+            return fit(window, p, q)
+
+        monkeypatch.setattr(rolling_mod, "fit_arma", counting)
+        selected = rolling_scan(series, profile, 20, 3)
+        assert calls == [given.orders] * (3 - 1)
+        assert same(selected, given)  # the models' coefficients and nfev too
 
     def test_insufficient_history_rejected(self, noisy_fixture):
         series, profile = noisy_fixture
@@ -209,9 +239,9 @@ class TestCalibrateResiduals:
         series, _ = noisy_fixture
         # 11 - 7 = day 4 leaves less than train_days of history
         with pytest.raises(ValueError):
-            analyze_roi(series, 11, 1, train_days=5, calibration_days=7, orders=(1, 0))
+            analyze_rois([series], 11, 1, train_days=5, calibration_days=7, orders=(1, 0))
         with pytest.raises(ValueError):
-            analyze_roi(series, 12, 1, calibration_days=0, orders=(1, 0))
+            analyze_rois([series], 12, 1, calibration_days=0, orders=(1, 0))
 
 
 class TestEnhancedForecast:
